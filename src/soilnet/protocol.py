@@ -198,7 +198,6 @@ class GatewayState:
     """
 
     last_seen: dict[tuple, int] = field(default_factory=dict)
-    latest: dict[tuple, Pub] = field(default_factory=dict)
     accepted: int = 0
     duplicate: int = 0
     out_of_range: int = 0
@@ -224,7 +223,6 @@ def validate_and_order(state: GatewayState, pub: Pub) -> Verdict:
         state.out_of_range += 1
         return Verdict.OUT_OF_RANGE
     state.last_seen[key] = pub.seq
-    state.latest[key] = pub
     state.accepted += 1
     return Verdict.ACCEPT
 

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 import random
+import threading
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 
 from soilnet.core import CalibrationModel, Channel, RawReading, apply_calibration
 
@@ -107,21 +110,53 @@ def default_field_model(depths_cm: tuple[int, ...] = (5, 15, 50, 100)) -> SoilFi
     )
 
 
-def _rain_events(seed: int, rate_per_day: float, upto_s: int) -> list[tuple[int, float]]:
+class _RainLog:
+    """Rain arrivals of one (seed, rate), built one day at a time and only
+    ever extended. ``events`` holds (time_s, strength in (0,1]) in time
+    order; ``ends[day]`` is the number of events in days 0..day."""
+
+    def __init__(self, seed: int, rate_per_day: float):
+        self.seed = seed
+        self.rate_per_day = rate_per_day
+        self.events: list[tuple[int, float]] = []
+        self.ends: list[int] = []
+
+    def extend_to(self, day: int) -> None:
+        target = math.exp(-self.rate_per_day)
+        for d in range(len(self.ends), day + 1):
+            rng = random.Random(f"rain:{self.seed}:{d}")
+            # Poisson count by inversion (rate is small, so the loop is short).
+            n, p = 0, rng.random()
+            while p > target:
+                n += 1
+                p *= rng.random()
+            day_events = [(d * DAY_S + int(rng.random() * DAY_S), 0.5 + 0.5 * rng.random())
+                          for _ in range(n)]
+            # Days do not overlap, so sorting each day keeps the whole list sorted.
+            self.events.extend(sorted(day_events))
+            self.ends.append(len(self.events))  # last: readers check ends first
+
+
+# One log per (seed, rate) for the life of the process: a few events per
+# simulated day. Readers go lock-free through the append-only lists; the
+# lock only serialises extension (online simulate runs a thread per profile).
+_RAIN_LOGS: dict[tuple[int, float], _RainLog] = {}
+_RAIN_LOCK = threading.Lock()
+
+
+def _rain_events(seed: int, rate_per_day: float, upto_s: int) -> Iterable[tuple[int, float]]:
     """Deterministic Poisson rain arrivals as (time_s, strength in (0,1])
-    for every day up to and including the day containing ``upto_s``."""
-    events = []
-    for day in range(upto_s // DAY_S + 1):
-        rng = random.Random(f"rain:{seed}:{day}")
-        # Poisson count by inversion (rate is small, so the loop is short).
-        n, p, target = 0, rng.random(), math.exp(-rate_per_day)
-        while p > target:
-            n += 1
-            p *= rng.random()
-        for _ in range(n):
-            events.append((day * DAY_S + int(rng.random() * DAY_S), 0.5 + 0.5 * rng.random()))
-    events.sort()
-    return events
+    for every day up to and including the day containing ``upto_s``, in
+    time order. Each day is drawn once per process."""
+    day = upto_s // DAY_S
+    if day < 0:
+        return ()
+    log = _RAIN_LOGS.get((seed, rate_per_day))
+    if log is None or len(log.ends) <= day:
+        with _RAIN_LOCK:
+            log = _RAIN_LOGS.setdefault((seed, rate_per_day), _RainLog(seed, rate_per_day))
+            log.extend_to(day)
+    return islice(log.events, log.ends[day])
 
 
 def ground_truth(

@@ -8,6 +8,7 @@ file, rows appended in receive order and never rewritten.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -25,13 +26,25 @@ EXPORT_FIELDS = (
 
 DEFAULT_ALLOWED_SKEW_S = 300
 
+DAY_S = 86400
+
 
 class UnknownProfile(KeyError):
     pass
 
 
+@functools.lru_cache(maxsize=1024)
+def _utc_date(day: int) -> str:
+    """YYYY-MM-DD of the UTC day ``day`` days after the epoch."""
+    return datetime.fromtimestamp(day * DAY_S, tz=timezone.utc).strftime("%Y-%m-%d")
+
+
 def iso_utc(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``ts`` as YYYY-MM-DDTHH:MM:SSZ (UTC), the strftime form."""
+    day, s = divmod(ts, DAY_S)
+    h, s = divmod(s, 3600)
+    m, s = divmod(s, 60)
+    return f"{_utc_date(day)}T{h:02d}:{m:02d}:{s:02d}Z"
 
 
 def parse_iso_utc(s: str) -> int:
@@ -105,11 +118,17 @@ def _row_from_record(rec: dict) -> StoredRow:
 
 class Store:
     """Append-only store. One serialized writer per partition, any number
-    of readers; queries only ever see fully appended rows."""
+    of readers; queries only ever see fully appended rows.
+
+    Durability: each append opens the partition file, hands the row to the
+    operating system in one write() and closes the file, so no handle stays
+    open and a crash of the writing process loses no appended row. There is
+    no fsync: a crash of the host can lose rows still in its page cache."""
 
     def __init__(self, root: str, model: CalibrationModel | None = None):
         self.root = root
         self.model = model
+        # Partitions this instance has opened, each with its writer lock.
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
         os.makedirs(root, exist_ok=True)
@@ -119,28 +138,37 @@ class Store:
         self.model = model
 
     def _partition_path(self, profile_id: str, recv_ts: int) -> str:
-        day = datetime.fromtimestamp(recv_ts, tz=timezone.utc).strftime("%Y-%m-%d")
-        return os.path.join(self.root, profile_id, f"{day}.csv")
+        return os.path.join(self.root, profile_id, f"{_utc_date(recv_ts // DAY_S)}.csv")
 
     def _lock_for(self, path: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._locks.setdefault(path, threading.Lock())
+        """The partition's writer lock. The first call per path creates the
+        partition (directory, file, and header if the file is empty), so
+        later appends skip every existence check."""
+        lock = self._locks.get(path)
+        if lock is None:
+            with self._locks_guard:
+                lock = self._locks.get(path)
+                if lock is None:
+                    _create_partition(path)
+                    lock = self._locks[path] = threading.Lock()
+        return lock
 
     def append(self, row: StoredRow) -> int:
-        """Durably append one row; returns its offset within the partition."""
+        """Append one row (see the class docstring for durability); returns
+        its end offset within the partition."""
         path = self._partition_path(row.profile_id, row.recv_timestamp)
-        rec = _row_record(row)
+        data = _csv_line(_csv_values(_row_record(row))).encode("ascii")
         with self._lock_for(path):
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            new = not os.path.exists(path) or os.path.getsize(path) == 0
-            with open(path, "a", newline="", encoding="ascii") as f:
-                w = csv.writer(f, lineterminator="\n")
-                if new:
-                    w.writerow(EXPORT_FIELDS)
-                w.writerow(_csv_values(rec))
-                f.flush()
-                offset = f.tell()
-        return offset
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            except FileNotFoundError:  # removed since this instance created it
+                _create_partition(path)
+                fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            try:
+                _write_all(fd, data)
+                return os.lseek(fd, 0, os.SEEK_CUR)
+            finally:
+                os.close(fd)
 
     def append_reading(self, reading: RawReading, recv_timestamp: int) -> int:
         return self.append(StoredRow.from_reading(reading, recv_timestamp, self.model))
@@ -212,6 +240,32 @@ class Store:
             if row.seq > out.get(key, 0):
                 out[key] = row.seq
         return out
+
+
+def _csv_line(values: list | tuple) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(values)
+    return buf.getvalue()
+
+
+_HEADER = _csv_line(EXPORT_FIELDS).encode("ascii")
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _create_partition(path: str) -> None:
+    """Make the partition's directory and file; write the header iff the
+    file is empty, so a partition another writer created keeps its one."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        if os.lseek(fd, 0, os.SEEK_END) == 0:
+            _write_all(fd, _HEADER)
+    finally:
+        os.close(fd)
 
 
 def _csv_values(rec: dict) -> list:

@@ -5,6 +5,9 @@ elimination) and shares no code with the package under test.
 """
 
 import math
+import random
+
+DAY_S = 86400
 
 
 def naive_rmse(a, b):
@@ -80,3 +83,21 @@ def normal_equations_quadratic(xs, ys):
     ]
     rhs = [sx2y, sxy, sy]
     return gauss_solve(mat, rhs)
+
+
+def naive_rain_events(seed, rate_per_day, upto_s):
+    """Rain arrivals (time_s, strength) of every day up to and including
+    the day containing ``upto_s``, every day redrawn from its own seeded
+    generator on each call, then sorted as one list."""
+    events = []
+    for day in range(upto_s // DAY_S + 1):
+        rng = random.Random(f"rain:{seed}:{day}")
+        n, p, target = 0, rng.random(), math.exp(-rate_per_day)
+        while p > target:
+            n += 1
+            p *= rng.random()
+        for _ in range(n):
+            events.append((day * DAY_S + int(rng.random() * DAY_S), 0.5 + 0.5 * rng.random()))
+    events.sort()
+    return events
+

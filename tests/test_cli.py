@@ -213,10 +213,11 @@ class TestServePipeline:
              "--listen", "127.0.0.1:0", "--data-root", root],
             stderr=subprocess.PIPE, text=True,
         )
-        line = proc.stderr.readline()
-        assert "listening on" in line
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == 0
+        with proc.stderr:
+            line = proc.stderr.readline()
+            assert "listening on" in line
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
         assert Store(root).query() == []
 
     def test_bad_data_root_exit_nonzero(self, tmp_path):

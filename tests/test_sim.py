@@ -1,8 +1,16 @@
+import dataclasses
 import math
+import random
 import statistics
+import sys
+import threading
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import naive_rain_events
+from soilnet import sim
 from soilnet.core import FIELD_CALIBRATION, Channel, apply_calibration
 from soilnet.sim import (
     NotInvertible,
@@ -18,6 +26,7 @@ from soilnet.sim import (
 
 FIELD = default_field_model()
 PROFILE = ProfileConfig("p1", seed=42)
+DAY_S = 86400
 
 
 class TestGroundTruth:
@@ -60,6 +69,112 @@ class TestGroundTruth:
             for d in (5, 15, 50, 100):
                 _, temp = ground_truth(FIELD, 42, t, d)
                 assert -55.0 <= temp <= 125.0
+
+
+def _hex(pair):
+    return tuple(v.hex() for v in pair)
+
+
+def naive_ground_truth(fieldm, seed, t_s, depth_cm):
+    """ground_truth with every day's rain events redrawn by the oracle."""
+    with mock.patch.object(sim, "_rain_events", naive_rain_events):
+        return ground_truth(fieldm, seed, t_s, depth_cm)
+
+
+def _matches_oracle(fieldm, seed, t_s):
+    for depth in fieldm.depth_responses:
+        assert _hex(ground_truth(fieldm, seed, t_s, depth)) == \
+            _hex(naive_ground_truth(fieldm, seed, t_s, depth)), (seed, t_s, depth)
+
+
+@pytest.fixture
+def fresh_rain_cache(monkeypatch):
+    monkeypatch.setattr(sim, "_RAIN_LOGS", {})
+
+
+# Instants on and around UTC day boundaries, and anywhere within a day.
+near_day_boundary = st.builds(
+    lambda day, offset: day * DAY_S + offset,
+    st.integers(0, 40),
+    st.sampled_from([-900, -1, 0, 1, 900]) | st.integers(0, DAY_S - 1),
+)
+
+
+class TestRainEventCache:
+    """ground_truth over the per-process rain-event cache against the
+    naive oracle that redraws every day on each call, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(-3, 10**6), t_s=near_day_boundary,
+           rate=st.sampled_from([0.3, 2.5]))
+    @example(seed=0, t_s=-1, rate=0.3)
+    def test_ground_truth_matches_oracle(self, seed, t_s, rate):
+        _matches_oracle(dataclasses.replace(FIELD, rain_event_rate_per_day=rate), seed, t_s)
+
+    def test_out_of_time_order_calls(self, fresh_rain_cache):
+        for day in (20, 1, 35, 0, 20):
+            for offset in (0, DAY_S // 2, DAY_S - 1):
+                _matches_oracle(FIELD, 7, day * DAY_S + offset)
+        assert list(sim._rain_events(7, FIELD.rain_event_rate_per_day, 35 * DAY_S)) == \
+            naive_rain_events(7, FIELD.rain_event_rate_per_day, 35 * DAY_S)
+
+    def test_threads_on_one_seed(self, monkeypatch):
+        fieldm = dataclasses.replace(FIELD, rain_event_rate_per_day=2.5)
+        # Latest first: every thread extends the same log from day 0 at once.
+        times = range(30 * DAY_S, 0, -3 * 3600)
+        expected = [_hex(naive_ground_truth(fieldm, 11, t, 5)) for t in times]
+
+        def race():
+            results, errors = [], []
+            start = threading.Barrier(4)
+
+            def run():
+                try:
+                    start.wait(timeout=10)
+                    results.append([_hex(ground_truth(fieldm, 11, t, 5)) for t in times])
+                except Exception as e:  # surfaced by the assertion below
+                    errors.append(e)
+
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads) and errors == []
+            return results
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(sim, "_RAIN_LOGS", {})
+                results = race()
+                assert len(results) == 4 and all(r == expected for r in results)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_random_constructions_per_reading_flat_in_run_length(self, monkeypatch,
+                                                                 fresh_rain_cache):
+        built = 0
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                nonlocal built
+                built += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+
+        def per_reading(days):
+            nonlocal built
+            built = readings = 0
+            for t in tick_times(days * DAY_S, PROFILE.cadence_s):
+                readings += len(step(PROFILE, FIELD, FIELD_CALIBRATION, t))
+            return built / readings
+
+        # One noise draw per reading plus one rain draw per simulated day.
+        short, long = per_reading(2), per_reading(30)
+        assert abs(long - short) < 0.01, (short, long)
 
 
 class TestVoltageInversion:

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import random
+from datetime import datetime, timezone
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from soilnet.core import FIELD_CALIBRATION, Channel, RawReading, apply_calibration
 from soilnet.store import (
@@ -39,6 +41,19 @@ class TestTimestamps:
 
     def test_utc_z_suffix(self):
         assert iso_utc(0) == "1970-01-01T00:00:00Z"
+
+    # Whole datetime range (years 1..9999), before and after the epoch, and
+    # every second around a day boundary.
+    @given(st.integers(-62135596800, 253402300799)
+           | st.builds(lambda day, s: day * 86400 + s,
+                       st.integers(-719161, 2932895), st.integers(-2, 2)))
+    @example(-1)
+    @example(-86400)
+    @example(-62135596800)
+    @example(253402300799)
+    def test_iso_utc_is_strftime_form(self, ts):
+        expected = datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        assert iso_utc(ts) == expected
 
 
 class TestAppendQuery:
@@ -92,6 +107,36 @@ class TestAppendQuery:
         assert (root / "p1" / "1970-01-01.csv").exists()
         assert (root / "p1" / "1970-01-02.csv").exists()
         assert (root / "p2" / "1970-01-01.csv").exists()
+
+    def test_one_header_per_partition(self, store, tmp_path):
+        header = ",".join(EXPORT_FIELDS)
+        path = tmp_path / "data" / "p1" / "2023-11-14.csv"
+        # Another instance writes the partition's first row and header ...
+        Store(store.root).append(make_row(seq=1))
+        # ... then this one and a third instance append to it.
+        store.append(make_row(seq=2))
+        store.append(make_row(seq=3))
+        Store(store.root).append(make_row(seq=4))
+        lines = path.read_text().splitlines()
+        assert lines.count(header) == 1 and lines[0] == header
+        assert [r.seq for r in store.query()] == [1, 2, 3, 4]
+
+    def test_existing_partition_file_gets_no_second_header(self, store, tmp_path):
+        pdir = tmp_path / "data" / "p1"
+        pdir.mkdir()
+        (pdir / "2023-11-14.csv").write_bytes(export_csv([make_row(seq=1)]))
+        store.append(make_row(seq=2))
+        assert [r.seq for r in store.query()] == [1, 2]
+
+    def test_empty_or_removed_partition_gets_header(self, store, tmp_path):
+        pdir = tmp_path / "data" / "p1"
+        pdir.mkdir()
+        path = pdir / "2023-11-14.csv"
+        path.write_bytes(b"")
+        store.append(make_row(seq=1))
+        path.unlink()
+        store.append(make_row(seq=2))
+        assert path.read_bytes() == export_csv([make_row(seq=2)])
 
     def test_last_seqs(self, store):
         store.append(make_row(seq=3))
