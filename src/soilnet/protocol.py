@@ -3,7 +3,7 @@
 Grammar (ASCII, LF-terminated, single-space separators, frames <= 512 bytes):
 
     HELLO <node_id> <proto_version>
-    PUB <topic> <seq> <unix_ts_seconds> <value_decimal>
+    PUB <topic> <seq> <unix_ts_seconds> <value_decimal>    (seq >= 1)
     ACK <seq>
     ERR <code> <message>
 
@@ -148,8 +148,8 @@ def parse_frame(line: str | bytes) -> Frame:
         topic = Topic.parse(toks[1])
         seq = _parse_int(toks[2], "seq")
         ts = _parse_int(toks[3], "timestamp")
-        if seq < 0:
-            raise Malformed(f"seq must be >= 0: {seq}")
+        if seq < 1:  # dedup starts every stream at last-seen 0
+            raise Malformed(f"seq must be >= 1: {seq}")
         return Pub(topic, seq, ts, _parse_value(toks[4]))
     if kind == "HELLO":
         if len(toks) != 3:

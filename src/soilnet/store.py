@@ -2,7 +2,15 @@
 with range queries and bit-exact CSV/JSON/XML export.
 
 On-disk layout: {root}/{profile_id}/{YYYY-MM-DD}.csv, one header line per
-file, rows appended in receive order and never rewritten.
+file, rows appended in receive order and never rewritten. A row's
+partition is the UTC day of its node timestamp, the clock queries filter
+on, so a query reads only the partitions its window overlaps; a receive
+day would bound nothing, since a buffered node can deliver rows days
+late. Stores written when partitions were keyed by receive day must be
+rebuilt: their windowed queries can miss rows whose two days differ.
+
+A final line without its newline is a torn write (a crash in mid-append):
+readers ignore it, and a Store's first append to the partition cuts it.
 """
 
 from __future__ import annotations
@@ -12,9 +20,11 @@ import functools
 import io
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from operator import itemgetter
 from xml.etree import ElementTree as ET
 
 from soilnet.core import CalibrationModel, Channel, RawReading, apply_calibration
@@ -47,8 +57,45 @@ def iso_utc(ts: int) -> str:
     return f"{_utc_date(day)}T{h:02d}:{m:02d}:{s:02d}Z"
 
 
+_ISO_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_ISO_CANONICAL = re.compile(r"(\d{4}-\d\d-\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
+
+
+def _strptime_utc(s: str) -> int:
+    return int(datetime.strptime(s, _ISO_FORMAT).replace(tzinfo=timezone.utc).timestamp())
+
+
+@functools.lru_cache(maxsize=1024)
+def _date_start(date: str) -> int:
+    """Unix seconds at 00:00:00Z of the YYYY-MM-DD ``date``."""
+    return _strptime_utc(date + "T00:00:00Z")
+
+
 def parse_iso_utc(s: str) -> int:
-    return int(datetime.strptime(s, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc).timestamp())
+    """Unix seconds of a YYYY-MM-DDTHH:MM:SSZ (UTC) string, the inverse of
+    ``iso_utc``. The canonical form is read as a cached date plus
+    HH:MM:SS; any other string takes the strptime path, so exactly the
+    strings strptime accepts are accepted."""
+    m = _ISO_CANONICAL.fullmatch(s)
+    if m is not None:
+        date, h, mi, sec = m.groups()
+        h, mi, sec = int(h), int(mi), int(sec)
+        if h < 24 and mi < 60 and sec < 60:
+            try:
+                return _date_start(date) + h * 3600 + mi * 60 + sec
+            except ValueError:  # no such date; strptime raises it below
+                pass
+    return _strptime_utc(s)
+
+
+@functools.lru_cache(maxsize=4096)
+def _file_day(name: str) -> int | None:
+    """Days since the epoch of a partition file name, None for a name that
+    is no date."""
+    try:
+        return parse_iso_utc(name[:-len(".csv")] + "T00:00:00Z") // DAY_S
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -98,24 +145,6 @@ def _row_record(row: StoredRow) -> dict:
     }
 
 
-def _row_from_record(rec: dict) -> StoredRow:
-    vwc = rec.get("vwc_percent")
-    if vwc in (None, ""):
-        vwc = None
-    else:
-        vwc = float(vwc)
-    return StoredRow(
-        profile_id=rec["profile"],
-        depth_cm=int(rec["depth_cm"]),
-        channel=Channel(rec["channel"]),
-        value=float(rec["value"]),
-        timestamp=parse_iso_utc(rec["timestamp"]),
-        seq=int(rec["seq"]),
-        recv_timestamp=parse_iso_utc(rec["recv_timestamp"]),
-        vwc_percent=vwc,
-    )
-
-
 class Store:
     """Append-only store. One serialized writer per partition, any number
     of readers; queries only ever see fully appended rows.
@@ -137,13 +166,13 @@ class Store:
         """Moisture rows appended after this call carry a vwc_percent."""
         self.model = model
 
-    def _partition_path(self, profile_id: str, recv_ts: int) -> str:
-        return os.path.join(self.root, profile_id, f"{_utc_date(recv_ts // DAY_S)}.csv")
+    def _partition_path(self, profile_id: str, ts: int) -> str:
+        return os.path.join(self.root, profile_id, f"{_utc_date(ts // DAY_S)}.csv")
 
     def _lock_for(self, path: str) -> threading.Lock:
-        """The partition's writer lock. The first call per path creates the
-        partition (directory, file, and header if the file is empty), so
-        later appends skip every existence check."""
+        """The partition's writer lock. The first call per path creates or
+        repairs the partition (``_create_partition``), so later appends
+        skip every existence check."""
         lock = self._locks.get(path)
         if lock is None:
             with self._locks_guard:
@@ -156,7 +185,7 @@ class Store:
     def append(self, row: StoredRow) -> int:
         """Append one row (see the class docstring for durability); returns
         its end offset within the partition."""
-        path = self._partition_path(row.profile_id, row.recv_timestamp)
+        path = self._partition_path(row.profile_id, row.timestamp)
         data = _csv_line(_csv_values(_row_record(row))).encode("ascii")
         with self._lock_for(path):
             try:
@@ -181,13 +210,23 @@ class Store:
             if os.path.isdir(os.path.join(self.root, d))
         )
 
-    def _partition_files(self, profile_id: str) -> list[str]:
+    def _partition_files(self, profile_id: str, first_day: int | None = None,
+                         last_day: int | None = None) -> list[str]:
+        """The profile's partition files in day order, without those whose
+        day lies outside [first_day, last_day] (days since the epoch)."""
         pdir = os.path.join(self.root, profile_id)
         if not os.path.isdir(pdir):
             return []
-        return sorted(
-            os.path.join(pdir, f) for f in os.listdir(pdir) if f.endswith(".csv")
-        )
+        paths = []
+        for f in os.listdir(pdir):
+            if not f.endswith(".csv"):
+                continue
+            day = _file_day(f)
+            if day is not None and (first_day is not None and day < first_day
+                                    or last_day is not None and day > last_day):
+                continue
+            paths.append(os.path.join(pdir, f))
+        return sorted(paths)
 
     def query(
         self,
@@ -198,8 +237,9 @@ class Store:
         channels: set[Channel] | None = None,
     ) -> list[StoredRow]:
         """Rows in [start_ts, end_ts) on the node clock, sorted by node
-        timestamp then seq. Raises UnknownProfile only when the store holds
-        other profiles but not the requested one; an empty store yields []."""
+        timestamp then seq; only the partitions of the window's days are
+        read. Raises UnknownProfile only when the store holds other
+        profiles but not the requested one; an empty store yields []."""
         if start_ts is not None and end_ts is not None and start_ts > end_ts:
             raise ValueError("start_ts > end_ts")
         known = self.profiles()
@@ -212,21 +252,26 @@ class Store:
         else:
             raise UnknownProfile(profile_id)
 
+        first_day = None if start_ts is None else start_ts // DAY_S
+        last_day = None if end_ts is None else (end_ts - 1) // DAY_S
         rows: list[StoredRow] = []
         for pid in targets:
-            for path in self._partition_files(pid):
-                with open(path, newline="", encoding="ascii") as f:
-                    for rec in csv.DictReader(f):
-                        row = _row_from_record(rec)
-                        if start_ts is not None and row.timestamp < start_ts:
-                            continue
-                        if end_ts is not None and row.timestamp >= end_ts:
-                            continue
-                        if depths is not None and row.depth_cm not in depths:
-                            continue
-                        if channels is not None and row.channel not in channels:
-                            continue
-                        rows.append(row)
+            for path in self._partition_files(pid, first_day, last_day):
+                fields = _read_fields(path, EXPORT_FIELDS)
+                for ts, recv, profile, depth, chan, seq, value, vwc in fields:
+                    ts = parse_iso_utc(ts)
+                    if start_ts is not None and ts < start_ts:
+                        continue
+                    if end_ts is not None and ts >= end_ts:
+                        continue
+                    depth = int(depth)
+                    if depths is not None and depth not in depths:
+                        continue
+                    chan = Channel(chan)
+                    if channels is not None and chan not in channels:
+                        continue
+                    rows.append(StoredRow(profile, depth, chan, float(value), ts, int(seq),
+                                          parse_iso_utc(recv), float(vwc) if vwc else None))
         rows.sort(key=lambda r: (r.timestamp, r.profile_id, r.depth_cm,
                                  r.channel.value, r.seq))
         return rows
@@ -235,11 +280,33 @@ class Store:
         """Highest stored seq per (profile, depth, channel); lets the
         gateway keep dedup across restarts."""
         out: dict[tuple[str, int, str], int] = {}
-        for row in self.query():
-            key = (row.profile_id, row.depth_cm, row.channel.value)
-            if row.seq > out.get(key, 0):
-                out[key] = row.seq
+        for pid in self.profiles():
+            for path in self._partition_files(pid):
+                for profile, depth, chan, seq in _read_fields(path, _SEQ_FIELDS):
+                    key = (profile, int(depth), chan)
+                    seq = int(seq)
+                    if seq > out.get(key, 0):
+                        out[key] = seq
         return out
+
+
+_SEQ_FIELDS = ("profile", "depth_cm", "channel", "seq")
+
+
+def _read_fields(path: str, names: tuple[str, ...]):
+    """Yield, per data row of the partition file ``path``, the tuple of its
+    fields ``names``, located once from the header. Blank lines and a final
+    line without its newline (a torn write) are no rows."""
+    with open(path, newline="", encoding="ascii") as f:
+        text = f.read()
+    reader = csv.reader(io.StringIO(text[:text.rfind("\n") + 1]))
+    header = next(reader, None)
+    if header is None:
+        return
+    pick = itemgetter(*(header.index(name) for name in names))
+    for fields in reader:
+        if fields:
+            yield pick(fields)
 
 
 def _csv_line(values: list | tuple) -> str:
@@ -257,12 +324,18 @@ def _write_all(fd: int, data: bytes) -> None:
 
 
 def _create_partition(path: str) -> None:
-    """Make the partition's directory and file; write the header iff the
-    file is empty, so a partition another writer created keeps its one."""
+    """Make the partition's directory and file; cut a torn final line back
+    to the last newline, so the next row does not extend it; write the
+    header iff the file is then empty, so a partition another writer
+    created keeps its one. Assumes no other process is in mid-append."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
-        if os.lseek(fd, 0, os.SEEK_END) == 0:
+        size = os.lseek(fd, 0, os.SEEK_END)
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            size = os.pread(fd, size, 0).rfind(b"\n") + 1
+            os.ftruncate(fd, size)
+        if size == 0:
             _write_all(fd, _HEADER)
     finally:
         os.close(fd)

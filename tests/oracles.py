@@ -101,3 +101,23 @@ def naive_rain_events(seed, rate_per_day, upto_s):
     events.sort()
     return events
 
+
+def naive_query(rows, profile_id=None, start_ts=None, end_ts=None, depths=None, channels=None):
+    """Every appended row (in append order) of ``profile_id`` with a node
+    timestamp in [start_ts, end_ts) that passes the depth and channel
+    filters, stably sorted by (timestamp, profile, depth, channel, seq)."""
+    out = []
+    for r in rows:
+        if profile_id is not None and r.profile_id != profile_id:
+            continue
+        if start_ts is not None and r.timestamp < start_ts:
+            continue
+        if end_ts is not None and r.timestamp >= end_ts:
+            continue
+        if depths is not None and r.depth_cm not in depths:
+            continue
+        if channels is not None and r.channel not in channels:
+            continue
+        out.append(r)
+    out.sort(key=lambda r: (r.timestamp, r.profile_id, r.depth_cm, r.channel.value, r.seq))
+    return out

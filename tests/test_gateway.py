@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 import socket
 import threading
@@ -6,9 +8,9 @@ import pytest
 
 from soilnet.core import FIELD_CALIBRATION, Channel, RawReading
 from soilnet.gateway import BindFailure, Gateway, GatewayClient, serve
-from soilnet.protocol import Pub, Topic, render_frame
+from soilnet.protocol import Ack, Err, Pub, Topic, render_frame
 from soilnet.sim import ProfileConfig, default_field_model, run_node, step, tick_times
-from soilnet.store import Store
+from soilnet.store import Store, StoredRow, export_csv
 
 T0 = 1700000000
 
@@ -70,6 +72,16 @@ class TestPublish:
         assert f.readline() == b"ACK 1\n"
         sock.close()
 
+    def test_seq_zero_is_malformed_not_a_duplicate(self, gw):
+        before = gw.counters()
+        reply = gw.handle_line(b"PUB site/s/profile/p1/depth/5/moisture 0 1700000000 1.3\n")
+        assert isinstance(reply, Err) and reply.code == "malformed"
+        after = gw.counters()
+        assert after["malformed"] == before["malformed"] + 1
+        assert after["duplicate"] == before["duplicate"]
+        assert gw.state.counters_consistent()
+        assert gw.store.query() == []
+
     def test_unreachable_gateway_buffers(self, tmp_path):
         client = GatewayClient(("127.0.0.1", 1), node_id="n1", site="s",
                                backoff_base_s=0.001, max_attempts=2)
@@ -118,6 +130,36 @@ class TestSessionReplay:
         gw2.shutdown()
         gw2.server_close()
         assert [r.seq for r in rows] == [1, 2, 3, 4]
+
+    def test_restart_on_torn_row_stores_the_reading_once(self, tmp_path):
+        def pub_line(seq):
+            r = reading(seq=seq)
+            topic = Topic("s", r.profile_id, r.depth_cm, r.channel)
+            return render_frame(Pub(topic, r.seq, r.timestamp, r.value)).encode()
+
+        root = str(tmp_path / "data")
+        gw1 = Gateway(("127.0.0.1", 0), Store(root), site="s")
+        try:
+            assert [gw1.handle_line(pub_line(seq)) for seq in (1, 2)] == [Ack(1), Ack(2)]
+        finally:
+            gw1.server_close()
+        # The gateway died in mid-append of seq 3: half its row, no newline.
+        (path,) = (tmp_path / "data" / "p1").glob("*.csv")
+        torn = export_csv([StoredRow.from_reading(reading(seq=3), T0)]).split(b"\n")[1]
+        path.write_bytes(path.read_bytes() + torn[:len(torn) // 2])
+
+        gw2 = Gateway(("127.0.0.1", 0), Store(root), site="s")
+        try:
+            replies = [gw2.handle_line(pub_line(seq)) for seq in (1, 2, 3, 3)]
+            counters = gw2.counters()
+        finally:
+            gw2.server_close()
+        assert replies == [Ack(1), Ack(2), Ack(3), Ack(3)]
+        assert (counters["accepted"], counters["duplicate"]) == (1, 3)
+        text = path.read_text()
+        assert text.endswith("\n")
+        assert [int(rec["seq"]) for rec in csv.DictReader(io.StringIO(text))] == [1, 2, 3]
+        assert [r.seq for r in Store(root).query()] == [1, 2, 3]
 
 
 class TestConcurrency:

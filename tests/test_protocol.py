@@ -34,7 +34,7 @@ topics = st.builds(
 pubs = st.builds(
     Pub,
     topic=topics,
-    seq=st.integers(0, 2**31),
+    seq=st.integers(1, 2**31),
     timestamp=st.integers(0, 2**32),
     value=st.floats(allow_nan=False, allow_infinity=False, width=64),
 )
@@ -96,6 +96,7 @@ class TestParseFrame:
             "PUB site/a/profile/b/depth/5/moisture 1 2 nan\n",
             "PUB site/a/profile/b/depth/5/moisture 1 2 inf\n",
             "PUB site/a/profile/b/depth/5/moisture -1 2 1.0\n",
+            "PUB site/a/profile/b/depth/5/moisture 0 2 1.0\n",
             "PUB  site/a/profile/b/depth/5/moisture 1 2 1.0\n",
             "pub site/a/profile/b/depth/5/moisture 1 2 1.0\n",
             "\n",

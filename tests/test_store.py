@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import random
+import tempfile
 from datetime import datetime, timezone
 from xml.etree import ElementTree as ET
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from soilnet.core import FIELD_CALIBRATION, Channel, RawReading, apply_calibration
 from soilnet.store import (
@@ -21,7 +22,17 @@ from soilnet.store import (
     rows_with_vwc,
 )
 
+from oracles import naive_query
+
 T0 = 1700000000  # mid-partition UTC instant
+DAY0 = 19675 * 86400  # 2023-11-14T00:00:00Z, the UTC midnight before T0
+
+
+# Whole datetime range (years 1..9999), before and after the epoch, and
+# every second around a day boundary.
+datetime_range = (st.integers(-62135596800, 253402300799)
+                  | st.builds(lambda day, s: day * 86400 + s,
+                              st.integers(-719161, 2932895), st.integers(-2, 2)))
 
 
 def make_row(seq=1, ts=T0, depth=5, channel=Channel.MOISTURE_VOLTAGE,
@@ -42,11 +53,7 @@ class TestTimestamps:
     def test_utc_z_suffix(self):
         assert iso_utc(0) == "1970-01-01T00:00:00Z"
 
-    # Whole datetime range (years 1..9999), before and after the epoch, and
-    # every second around a day boundary.
-    @given(st.integers(-62135596800, 253402300799)
-           | st.builds(lambda day, s: day * 86400 + s,
-                       st.integers(-719161, 2932895), st.integers(-2, 2)))
+    @given(datetime_range)
     @example(-1)
     @example(-86400)
     @example(-62135596800)
@@ -54,6 +61,52 @@ class TestTimestamps:
     def test_iso_utc_is_strftime_form(self, ts):
         expected = datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         assert iso_utc(ts) == expected
+
+
+class TestParseIsoUtc:
+    @staticmethod
+    def outcome(parse, s):
+        try:
+            return parse(s)
+        except Exception as e:  # the exception type is part of the outcome
+            return type(e)
+
+    def assert_as_strptime(self, s):
+        def strptime_form(text):
+            return int(datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+                       .replace(tzinfo=timezone.utc).timestamp())
+        assert self.outcome(parse_iso_utc, s) == self.outcome(strptime_form, s)
+
+    # Below year 1000 iso_utc writes no 4-digit year, which strptime
+    # rejects, and so must parse_iso_utc.
+    @given(datetime_range)
+    @example(-62135596800)
+    @example(-30610224000)  # 1000-01-01T00:00:00Z
+    @example(253402300799)
+    def test_every_iso_utc_form(self, ts):
+        self.assert_as_strptime(iso_utc(ts))
+        if ts >= -30610224000:
+            assert parse_iso_utc(iso_utc(ts)) == ts
+
+    @given(st.from_regex(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", fullmatch=True)
+           | st.from_regex(r"\d{1,5}-[ \d]{1,3}-[ \d]{1,3}[T ][ \d]{1,3}:\d{1,3}:\d{1,3}Z?\n?",
+                           fullmatch=True)
+           | st.text(max_size=24))
+    @example("2024-1-1T0:0:0Z")
+    @example("2024-01- 1T00:00:00Z")
+    @example("2024-01-01T24:00:00Z")
+    @example("2024-02-30T00:00:00Z")
+    @example("2024-02-29T00:00:00Z")
+    @example("2023-02-29T00:00:00Z")
+    @example("2024-01-01T00:00:60Z")
+    @example("2024-01-01T00:00:61Z")
+    @example("2024-01-01T00:60:00Z")
+    @example("2024-13-01T00:00:00Z")
+    @example("0000-01-01T00:00:00Z")
+    @example("2024-01-01T00:00:00Z\n")
+    @example("\u0662\u0660\u0662\u0664-01-01T00:00:00Z")
+    def test_any_string(self, s):
+        self.assert_as_strptime(s)
 
 
 class TestAppendQuery:
@@ -100,13 +153,14 @@ class TestAppendQuery:
         assert again.query() == rows
 
     def test_partitions_by_profile_and_day(self, store, tmp_path):
-        store.append(make_row(profile="p1", recv=0))
-        store.append(make_row(profile="p1", recv=86400, seq=2))
-        store.append(make_row(profile="p2", recv=0))
+        # The node timestamp's UTC day names the partition, whatever the
+        # receive day: a late row and a node clock ahead of the gateway.
+        store.append(make_row(profile="p1", ts=0, recv=5 * 86400))
+        store.append(make_row(profile="p1", ts=86400, recv=0, seq=2))
+        store.append(make_row(profile="p2", ts=86399, recv=86400))
         root = tmp_path / "data"
-        assert (root / "p1" / "1970-01-01.csv").exists()
-        assert (root / "p1" / "1970-01-02.csv").exists()
-        assert (root / "p2" / "1970-01-01.csv").exists()
+        assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*.csv")) == [
+            "p1/1970-01-01.csv", "p1/1970-01-02.csv", "p2/1970-01-01.csv"]
 
     def test_one_header_per_partition(self, store, tmp_path):
         header = ",".join(EXPORT_FIELDS)
@@ -138,6 +192,22 @@ class TestAppendQuery:
         store.append(make_row(seq=2))
         assert path.read_bytes() == export_csv([make_row(seq=2)])
 
+    # A crash in mid-append leaves a final line without its newline: in a
+    # row, or in the header of a partition's first write.
+    @pytest.mark.parametrize("complete, torn", [
+        ([make_row(seq=1)], b"2023-11-14T22:28:20Z,2023-11-"),
+        ([], b"timestamp,recv"),
+    ], ids=["row", "header"])
+    def test_torn_final_line_ignored_then_cut(self, store, tmp_path, complete, torn):
+        path = tmp_path / "data" / "p1" / "2023-11-14.csv"
+        path.parent.mkdir(parents=True)
+        path.write_bytes((export_csv(complete) if complete else b"") + torn)
+        assert store.query() == complete
+        assert store.last_seqs() == {("p1", 5, "moisture"): r.seq for r in complete}
+        later = make_row(seq=2, ts=T0 + 900)
+        store.append(later)
+        assert path.read_bytes() == export_csv(complete + [later])
+
     def test_last_seqs(self, store):
         store.append(make_row(seq=3))
         store.append(make_row(seq=7, ts=T0 + 900))
@@ -150,6 +220,59 @@ class TestAppendQuery:
     def test_invalid_range_rejected(self, store):
         with pytest.raises(ValueError):
             store.query(start_ts=10, end_ts=5)
+
+
+# Node timestamps on, next to and between UTC midnights of four days.
+node_ts = st.builds(lambda day, off: DAY0 + day * 86400 + off, st.integers(0, 3),
+                    st.sampled_from([0, 1, 86399]) | st.integers(0, 86399))
+# Receive minus node time: on time, days late (a buffered node) or the node
+# clock ahead of the gateway.
+recv_skew = st.sampled_from([0, 1, -1, -86400]) | st.integers(-3 * 86400, 10 * 86400)
+instants = node_ts | st.integers(DAY0 - 86400, DAY0 + 5 * 86400)
+
+
+@settings(max_examples=60, deadline=None)
+@given(readings=st.lists(st.tuples(st.sampled_from(["p1", "p2"]), st.sampled_from([5, 50]),
+                                   st.sampled_from(list(Channel)), node_ts, recv_skew),
+                         min_size=1, max_size=30),
+       data=st.data())
+def test_windowed_query_matches_naive_oracle(readings, data):
+    rows = [StoredRow(p, depth, ch, 1.25 + i / 64, ts, i + 1, ts + skew)
+            for i, (p, depth, ch, ts, skew) in enumerate(readings)]
+    with tempfile.TemporaryDirectory() as root:
+        store = Store(root)
+        for row in rows:
+            store.append(row)
+        # Window ends on, or a second either side of, a stored timestamp.
+        near_row = st.builds(lambda r, d: r.timestamp + d,
+                             st.sampled_from(rows), st.sampled_from([-1, 0, 1]))
+        edges = st.one_of(st.none(), instants, near_row)
+        profiles = sorted({r.profile_id for r in rows})
+        for _ in range(5):
+            start, end = data.draw(edges), data.draw(edges)
+            if start is not None and end is not None and start > end:
+                start, end = end, start
+            kw = {
+                "profile_id": data.draw(st.sampled_from([None, *profiles])),
+                "start_ts": start,
+                "end_ts": end,
+                "depths": data.draw(st.none() | st.sets(st.sampled_from([5, 15, 50]))),
+                "channels": data.draw(st.none() | st.sets(st.sampled_from(list(Channel)))),
+            }
+            assert store.query(**kw) == naive_query(rows, **kw)
+
+
+def test_windows_at_day_boundaries_match_naive_oracle(store):
+    around = [DAY0 + k * 86400 + d for k in (0, 1, 2) for d in (-1, 0, 1)]
+    rows = [make_row(seq=i + 1, ts=ts, recv=ts + 86400 * (i % 3 - 1))
+            for i, ts in enumerate(around)]
+    for row in rows:
+        store.append(row)
+    for start in (None, *around):
+        for end in (None, *around):
+            if start is None or end is None or start <= end:
+                assert (store.query(start_ts=start, end_ts=end)
+                        == naive_query(rows, start_ts=start, end_ts=end))
 
 
 class TestSkewFlag:
