@@ -17,13 +17,7 @@ import threading
 import time
 
 from soilnet import core, sim
-from soilnet.analytics import (
-    Channel,
-    plot_series_csv,
-    render_report,
-    report_to_json,
-    validation_report,
-)
+from soilnet.core import Channel
 from soilnet.gateway import DEFAULT_PORT, BindFailure, Gateway, GatewayClient
 from soilnet.store import (
     Store,
@@ -288,6 +282,14 @@ def _read_reference_csv(path: str) -> list[tuple[int, float]]:
 
 
 def cmd_report(args) -> int:
+    # Imported here: analytics loads numpy, which no other command needs.
+    from soilnet.analytics import (
+        plot_series_csv,
+        render_report,
+        report_to_json,
+        validation_report,
+    )
+
     store = Store(args.data_root)
     rows = _query_args(store, args)
     if not rows:

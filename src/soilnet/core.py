@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 
 class Channel(str, Enum):
     MOISTURE_VOLTAGE = "moisture"
@@ -181,6 +179,8 @@ def fit_calibration(
     Solves the normal equations on a mean-centered design for conditioning.
     Requires at least 3 distinct transformed x values.
     """
+    import numpy as np  # here, not at module level: only fitting needs it
+
     if len(points) < 3:
         raise InsufficientPoints(f"need >= 3 points, got {len(points)}")
     xs = np.array([_transform_voltage(transform, v) for v, _ in points], dtype=float)

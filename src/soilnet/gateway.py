@@ -43,13 +43,21 @@ class TransportClosed(ConnectionError):
     pass
 
 
+_READ_CAP = 4096
+
+
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         server: Gateway = self.server  # type: ignore[assignment]
         while True:
-            line = self.rfile.readline(4096)
+            line = self.rfile.readline(_READ_CAP)
             if not line:
                 return
+            # Drop the rest of an over-long line, so that it is answered as
+            # one (malformed) frame, not as several.
+            rest = line
+            while len(rest) == _READ_CAP and not rest.endswith(b"\n"):
+                rest = self.rfile.readline(_READ_CAP)
             reply = server.handle_line(line)
             if reply is not None:
                 self.wfile.write(render_frame(reply).encode("ascii"))
@@ -96,6 +104,8 @@ class Gateway(socketserver.ThreadingTCPServer):
         if verdict is Verdict.MALFORMED or (frame is None and reason is not None):
             return Err("malformed", reason)
         if isinstance(frame, Hello):
+            if frame.proto_version != PROTO_VERSION:
+                return Err("version", f"unsupported proto_version, want {PROTO_VERSION}")
             return Ack(0)
         return None  # stray ACK/ERR from a peer: ignore
 

@@ -3,7 +3,7 @@
 Grammar (ASCII, LF-terminated, single-space separators, frames <= 512 bytes):
 
     HELLO <node_id> <proto_version>
-    PUB <topic> <seq> <unix_ts_seconds> <value_decimal>    (seq >= 1)
+    PUB <topic> <seq> <unix_ts_seconds> <value_decimal>    (seq >= 1, ts in TS_RANGE)
     ACK <seq>
     ERR <code> <message>
 
@@ -20,6 +20,9 @@ from soilnet.core import Channel, RawReading, value_in_range
 
 MAX_FRAME_BYTES = 512
 PROTO_VERSION = 1
+# Node timestamps of years 1000-9999 (UTC), the range the store's ISO-8601
+# rows and day partitions round-trip.
+TS_RANGE = (-30610224000, 253402300799)
 
 
 class Malformed(ValueError):
@@ -150,6 +153,8 @@ def parse_frame(line: str | bytes) -> Frame:
         ts = _parse_int(toks[3], "timestamp")
         if seq < 1:  # dedup starts every stream at last-seen 0
             raise Malformed(f"seq must be >= 1: {seq}")
+        if not TS_RANGE[0] <= ts <= TS_RANGE[1]:
+            raise Malformed("timestamp outside years 1000-9999")
         return Pub(topic, seq, ts, _parse_value(toks[4]))
     if kind == "HELLO":
         if len(toks) != 3:

@@ -55,6 +55,16 @@ def offline_store(tmp_path):
     return root
 
 
+def test_gateway_and_simulator_import_no_numpy():
+    # numpy is for `calibrate` and `report` only; a gateway restart must not load it.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, soilnet.cli, soilnet.gateway, soilnet.sim, soilnet.store; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestSimulateOffline:
     def test_row_count(self, offline_store):
         rows = Store(offline_store).query()

@@ -8,7 +8,7 @@ import pytest
 
 from soilnet.core import FIELD_CALIBRATION, Channel, RawReading
 from soilnet.gateway import BindFailure, Gateway, GatewayClient, serve
-from soilnet.protocol import Ack, Err, Pub, Topic, render_frame
+from soilnet.protocol import PROTO_VERSION, Ack, Err, Pub, Topic, render_frame
 from soilnet.sim import ProfileConfig, default_field_model, run_node, step, tick_times
 from soilnet.store import Store, StoredRow, export_csv
 
@@ -81,6 +81,43 @@ class TestPublish:
         assert after["duplicate"] == before["duplicate"]
         assert gw.state.counters_consistent()
         assert gw.store.query() == []
+
+    def test_timestamps_the_store_cannot_hold_are_malformed(self, gw, tmp_path):
+        topic = "site/s/profile/p1/depth/5/moisture"
+        for ts in (-30610224001, 999999999999999):
+            reply = gw.handle_line(f"PUB {topic} 1 {ts} 1.5\n".encode())
+            assert isinstance(reply, Err) and reply.code == "malformed"
+        assert gw.counters()["malformed"] == 2
+        assert gw.counters()["accepted"] == 0
+        assert gw.state.counters_consistent()
+        assert not (tmp_path / "data" / "p1").exists()
+        assert gw.store.query() == []
+        # The range's ends are stored and read back.
+        for seq, ts in enumerate((-30610224000, 253402300799), start=1):
+            assert gw.handle_line(f"PUB {topic} {seq} {ts} 1.5\n".encode()) == Ack(seq)
+        assert [r.timestamp for r in gw.store.query()] == [-30610224000, 253402300799]
+
+    def test_hello_version_mismatch_is_rejected(self, gw):
+        sock = socket.create_connection(gw.bound_addr, timeout=5)
+        with sock, sock.makefile("rwb") as f:
+            f.write(f"HELLO n1 {PROTO_VERSION + 1}\n".encode())
+            f.flush()
+            assert f.readline().startswith(b"ERR version")
+            f.write(f"HELLO n1 {PROTO_VERSION}\n".encode())
+            f.flush()
+            assert f.readline() == b"ACK 0\n"
+
+    def test_oversized_line_is_one_malformed_frame(self, gw):
+        sock = socket.create_connection(gw.bound_addr, timeout=5)
+        pub = Pub(Topic("s", "p1", 5, Channel.MOISTURE_VOLTAGE), 1, T0, 1.3)
+        with sock, sock.makefile("rwb") as f:
+            f.write(b"PUB " + b"x" * 10000 + b"\n" + render_frame(pub).encode())
+            f.flush()
+            assert f.readline().startswith(b"ERR malformed")
+            assert f.readline() == b"ACK 1\n"
+        counters = gw.counters()
+        assert (counters["malformed"], counters["accepted"], counters["pub_total"]) == (1, 1, 2)
+        assert gw.state.counters_consistent()
 
     def test_unreachable_gateway_buffers(self, tmp_path):
         client = GatewayClient(("127.0.0.1", 1), node_id="n1", site="s",

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from soilnet.core import Channel
 from soilnet.protocol import (
+    TS_RANGE,
     Ack,
     Err,
     GatewayState,
@@ -97,6 +98,8 @@ class TestParseFrame:
             "PUB site/a/profile/b/depth/5/moisture 1 2 inf\n",
             "PUB site/a/profile/b/depth/5/moisture -1 2 1.0\n",
             "PUB site/a/profile/b/depth/5/moisture 0 2 1.0\n",
+            "PUB site/a/profile/b/depth/5/moisture 1 -30610224001 1.0\n",
+            "PUB site/a/profile/b/depth/5/moisture 1 253402300800 1.0\n",
             "PUB  site/a/profile/b/depth/5/moisture 1 2 1.0\n",
             "pub site/a/profile/b/depth/5/moisture 1 2 1.0\n",
             "\n",
@@ -107,6 +110,10 @@ class TestParseFrame:
     def test_malformed(self, bad):
         with pytest.raises(Malformed):
             parse_frame(bad)
+
+    def test_timestamp_range_ends_accepted(self):
+        for ts in TS_RANGE:
+            assert parse_frame(f"PUB site/a/profile/b/depth/5/moisture 1 {ts} 1.0\n").timestamp == ts
 
     def test_bytes_input(self):
         f = parse_frame(b"ACK 7\n")
