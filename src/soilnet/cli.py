@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from soilnet import core, sim
 from soilnet.core import Channel
 from soilnet.gateway import DEFAULT_PORT, BindFailure, Gateway, GatewayClient
 from soilnet.store import (
+    DAY_S,
     Store,
     StoredRow,
     export,
@@ -169,9 +171,14 @@ def cmd_simulate(args) -> int:
         store = Store(args.data_root)
         for prof in profiles:
             fieldm = _field_model_from_config(cfg, prof.depths_cm)
-            for t_s in sim.tick_times(duration_s, prof.cadence_s):
-                for reading in sim.step(prof, fieldm, cal, t_s, start_ts):
-                    store.append_reading(reading, recv_timestamp=reading.timestamp)
+            # One batch, so one write(), per profile and node day.
+            ticks = sim.tick_times(duration_s, prof.cadence_s)
+            for _, day_ticks in itertools.groupby(ticks, lambda t_s: (start_ts + t_s) // DAY_S):
+                store.append_rows([
+                    StoredRow.from_reading(reading, reading.timestamp)
+                    for t_s in day_ticks
+                    for reading in sim.step(prof, fieldm, cal, t_s, start_ts)
+                ])
         print(f"offline run complete: {len(profiles)} profile(s)", file=sys.stderr)
         return EXIT_OK
 

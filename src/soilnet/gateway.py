@@ -91,12 +91,13 @@ class Gateway(socketserver.ThreadingTCPServer):
 
     def handle_line(self, line: bytes) -> Frame | None:
         """Process one inbound frame line; returns the reply frame."""
+        # Append inside the lock: per-stream seq order in the store then
+        # matches accept order.
         with self._state_lock:
-            verdict, frame, reason = classify_line(self.state, line)
-            if verdict is Verdict.ACCEPT:
-                # Append inside the lock: per-stream seq order in the store
-                # then matches accept order.
-                self.store.append_reading(frame.to_reading(), recv_timestamp=int(time.time()))
+            try:
+                verdict, frame, reason = classify_line(self.state, line, self._store_pub)
+            except OSError as e:  # not stored, not counted: the node retries
+                return Err("store", f"append failed: {type(e).__name__}")
         if verdict is Verdict.ACCEPT or verdict is Verdict.DUPLICATE:
             return Ack(frame.seq)
         if verdict is Verdict.OUT_OF_RANGE:
@@ -108,6 +109,9 @@ class Gateway(socketserver.ThreadingTCPServer):
                 return Err("version", f"unsupported proto_version, want {PROTO_VERSION}")
             return Ack(0)
         return None  # stray ACK/ERR from a peer: ignore
+
+    def _store_pub(self, pub: Pub) -> None:
+        self.store.append_reading(pub.to_reading(), recv_timestamp=int(time.time()))
 
     def counters(self) -> dict:
         with self._state_lock:
@@ -209,6 +213,8 @@ class GatewayClient:
         if isinstance(reply, Ack):
             return "acknowledged"
         if isinstance(reply, Err):
+            if reply.code == "store":  # the gateway could not store it: retry
+                raise TransportClosed(f"gateway store failed: {reply.message}")
             return "rejected"
         raise TransportClosed(f"unexpected reply {reply!r}")
 

@@ -13,6 +13,7 @@ Topics are MQTT-style paths: site/{site}/profile/{p}/depth/{cm}/{moisture|temper
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,9 +32,18 @@ class Malformed(ValueError):
         self.reason = reason
 
 
+_QUOTE_MAX = 40
+
+
+def _quote(tok: str) -> str:
+    """``tok`` quoted for a Malformed reason, cut to its first _QUOTE_MAX
+    characters, so that the ERR frame quoting it fits MAX_FRAME_BYTES."""
+    return ascii(tok[:_QUOTE_MAX]) + ("..." if len(tok) > _QUOTE_MAX else "")
+
+
 def _check_segment(seg: str, what: str) -> str:
     if not seg or "/" in seg or any(ch.isspace() for ch in seg):
-        raise Malformed(f"{what}: bad segment {seg!r}")
+        raise Malformed(f"{what}: bad segment {_quote(seg)}")
     return seg
 
 
@@ -55,16 +65,16 @@ class Topic:
     def parse(cls, s: str) -> "Topic":
         parts = s.split("/")
         if len(parts) != 7 or parts[0] != "site" or parts[2] != "profile" or parts[4] != "depth":
-            raise Malformed(f"topic: {s!r}")
+            raise Malformed(f"topic: {_quote(s)}")
         site, profile_id, depth_s, chan_s = parts[1], parts[3], parts[5], parts[6]
         _check_segment(site, "topic")
         _check_segment(profile_id, "topic")
         if not depth_s.isdigit() or int(depth_s) <= 0:
-            raise Malformed(f"topic depth: {depth_s!r}")
+            raise Malformed(f"topic depth: {_quote(depth_s)}")
         try:
             channel = Channel(chan_s)
         except ValueError:
-            raise Malformed(f"topic channel: {chan_s!r}") from None
+            raise Malformed(f"topic channel: {_quote(chan_s)}") from None
         return cls(site, profile_id, int(depth_s), channel)
 
 
@@ -112,7 +122,7 @@ Frame = Hello | Pub | Ack | Err
 
 def _parse_int(tok: str, what: str) -> int:
     if not tok or not (tok.isdigit() or (tok[0] == "-" and tok[1:].isdigit())):
-        raise Malformed(f"{what}: {tok!r}")
+        raise Malformed(f"{what}: {_quote(tok)}")
     return int(tok)
 
 
@@ -120,9 +130,9 @@ def _parse_value(tok: str) -> float:
     try:
         v = float(tok)
     except ValueError:
-        raise Malformed(f"value: {tok!r}") from None
+        raise Malformed(f"value: {_quote(tok)}") from None
     if not math.isfinite(v):
-        raise Malformed(f"value not finite: {tok!r}")
+        raise Malformed(f"value not finite: {_quote(tok)}")
     return v
 
 
@@ -168,7 +178,7 @@ def parse_frame(line: str | bytes) -> Frame:
         if len(toks) < 3:
             raise Malformed("ERR wants code and message")
         return Err(toks[1], " ".join(toks[2:]))
-    raise Malformed(f"unknown frame type {kind!r}")
+    raise Malformed(f"unknown frame type {_quote(kind)}")
 
 
 def render_frame(frame: Frame) -> str:
@@ -213,27 +223,38 @@ class GatewayState:
         return self.accepted + self.duplicate + self.out_of_range + self.malformed == self.pub_total
 
 
-def validate_and_order(state: GatewayState, pub: Pub) -> Verdict:
+def validate_and_order(state: GatewayState, pub: Pub,
+                       store: Callable[[Pub], None] | None = None) -> Verdict:
     """Classify one parsed PUB frame and update dedup state/counters.
 
     Accept iff seq is beyond the stream's last-seen AND the value is within
-    the channel's physical range; last-seen advances only on accept.
+    the channel's physical range. An accepted frame is first handed to
+    ``store``, if given; last-seen and the counters move only once it has
+    returned, so a frame whose store raises is not counted at all and its
+    retry is classified afresh.
     """
-    state.pub_total += 1
     key = pub.stream_key()
     if pub.seq <= state.last_seen.get(key, 0):
+        state.pub_total += 1
         state.duplicate += 1
         return Verdict.DUPLICATE
     if not value_in_range(pub.topic.channel, pub.value):
+        state.pub_total += 1
         state.out_of_range += 1
         return Verdict.OUT_OF_RANGE
+    if store is not None:
+        store(pub)
+    state.pub_total += 1
     state.last_seen[key] = pub.seq
     state.accepted += 1
     return Verdict.ACCEPT
 
 
-def classify_line(state: GatewayState, line: str | bytes) -> tuple[Verdict | None, Frame | None, str | None]:
-    """Parse + classify one inbound line the way the gateway does.
+def classify_line(state: GatewayState, line: str | bytes,
+                  store: Callable[[Pub], None] | None = None,
+                  ) -> tuple[Verdict | None, Frame | None, str | None]:
+    """Parse + classify one inbound line the way the gateway does; an
+    accepted PUB goes to ``store`` (see ``validate_and_order``).
 
     Returns (verdict, frame, error_reason). Verdict is None for valid
     non-PUB frames. Lines that look like PUB but fail to parse count
@@ -251,5 +272,5 @@ def classify_line(state: GatewayState, line: str | bytes) -> tuple[Verdict | Non
             return Verdict.MALFORMED, None, e.reason
         return None, None, e.reason
     if isinstance(frame, Pub):
-        return validate_and_order(state, frame), frame, None
+        return validate_and_order(state, frame, store), frame, None
     return None, frame, None

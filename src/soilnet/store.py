@@ -22,6 +22,7 @@ import json
 import os
 import re
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -145,18 +146,33 @@ def _row_record(row: StoredRow) -> dict:
     }
 
 
+def _row_values(row: StoredRow) -> tuple:
+    """The CSV fields of ``row``: floats in shortest round-trip form, an
+    absent vwc_percent as an empty field."""
+    ts = iso_utc(row.timestamp)
+    recv = ts if row.recv_timestamp == row.timestamp else iso_utc(row.recv_timestamp)
+    vwc = row.vwc_percent
+    return (ts, recv, row.profile_id, row.depth_cm, row.channel.value, row.seq,
+            repr(row.value), "" if vwc is None else repr(vwc))
+
+
 class Store:
     """Append-only store. One serialized writer per partition, any number
     of readers; queries only ever see fully appended rows.
 
-    Durability: each append opens the partition file, hands the row to the
-    operating system in one write() and closes the file, so no handle stays
-    open and a crash of the writing process loses no appended row. There is
+    Durability: ``append_rows`` opens each partition file of its batch,
+    hands that partition's rows to the operating system in one write() and
+    closes the file, so no handle stays open and a crash of the writing
+    process loses no row of a batch that has returned. The gateway appends
+    one row per batch, before its ACK; ``simulate --offline`` one profile's
+    node day, so a crash loses at most that day's unwritten rows. There is
     no fsync: a crash of the host can lose rows still in its page cache."""
 
     def __init__(self, root: str, model: CalibrationModel | None = None):
         self.root = root
         self.model = model
+        # Partition path per (profile, day since the epoch).
+        self._paths: dict[tuple[str, int], str] = {}
         # Partitions this instance has opened, each with its writer lock.
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
@@ -165,9 +181,6 @@ class Store:
     def register_model(self, model: CalibrationModel) -> None:
         """Moisture rows appended after this call carry a vwc_percent."""
         self.model = model
-
-    def _partition_path(self, profile_id: str, ts: int) -> str:
-        return os.path.join(self.root, profile_id, f"{_utc_date(ts // DAY_S)}.csv")
 
     def _lock_for(self, path: str) -> threading.Lock:
         """The partition's writer lock. The first call per path creates or
@@ -182,25 +195,44 @@ class Store:
                     lock = self._locks[path] = threading.Lock()
         return lock
 
-    def append(self, row: StoredRow) -> int:
-        """Append one row (see the class docstring for durability); returns
-        its end offset within the partition."""
-        path = self._partition_path(row.profile_id, row.timestamp)
-        data = _csv_line(_csv_values(_row_record(row))).encode("ascii")
-        with self._lock_for(path):
-            try:
-                fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-            except FileNotFoundError:  # removed since this instance created it
-                _create_partition(path)
-                fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-            try:
-                _write_all(fd, data)
-                return os.lseek(fd, 0, os.SEEK_CUR)
-            finally:
-                os.close(fd)
+    def append(self, row: StoredRow) -> None:
+        """Append one row (see the class docstring for durability)."""
+        self.append_rows([row])
 
-    def append_reading(self, reading: RawReading, recv_timestamp: int) -> int:
-        return self.append(StoredRow.from_reading(reading, recv_timestamp, self.model))
+    def append_rows(self, rows: Iterable[StoredRow]) -> None:
+        """Append ``rows``, in order within each partition, with one write()
+        per partition. Every row is encoded before any byte is written, so a
+        row that cannot be stored raises with every partition unchanged."""
+        batches: dict[tuple[str, int], list[tuple]] = {}
+        for row in rows:
+            key = (row.profile_id, row.timestamp // DAY_S)
+            batch = batches.get(key)
+            if batch is None:
+                batch = batches[key] = []
+            batch.append(_row_values(row))
+        encoded = []
+        for key, batch in batches.items():
+            path = self._paths.get(key)
+            if path is None:
+                path = self._paths[key] = os.path.join(self.root, key[0],
+                                                       f"{_utc_date(key[1])}.csv")
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(batch)
+            encoded.append((path, buf.getvalue().encode("ascii")))
+        for path, data in encoded:
+            with self._lock_for(path):
+                try:
+                    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+                except FileNotFoundError:  # removed since this instance created it
+                    _create_partition(path)
+                    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+                try:
+                    _write_all(fd, data)
+                finally:
+                    os.close(fd)
+
+    def append_reading(self, reading: RawReading, recv_timestamp: int) -> None:
+        self.append(StoredRow.from_reading(reading, recv_timestamp, self.model))
 
     def profiles(self) -> list[str]:
         if not os.path.isdir(self.root):
@@ -309,13 +341,7 @@ def _read_fields(path: str, names: tuple[str, ...]):
             yield pick(fields)
 
 
-def _csv_line(values: list | tuple) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(values)
-    return buf.getvalue()
-
-
-_HEADER = _csv_line(EXPORT_FIELDS).encode("ascii")
+_HEADER = (",".join(EXPORT_FIELDS) + "\n").encode("ascii")
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -341,25 +367,11 @@ def _create_partition(path: str) -> None:
         os.close(fd)
 
 
-def _csv_values(rec: dict) -> list:
-    vals = []
-    for name in EXPORT_FIELDS:
-        v = rec[name]
-        if v is None:
-            vals.append("")
-        elif isinstance(v, float):
-            vals.append(repr(v))
-        else:
-            vals.append(v)
-    return vals
-
-
 def export_csv(rows: list[StoredRow]) -> bytes:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(EXPORT_FIELDS)
-    for row in rows:
-        w.writerow(_csv_values(_row_record(row)))
+    w.writerows(map(_row_values, rows))
     return buf.getvalue().encode("ascii")
 
 

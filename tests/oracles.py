@@ -4,8 +4,11 @@ Everything here is deliberately naive (plain loops, hand-rolled Gaussian
 elimination) and shares no code with the package under test.
 """
 
+import csv
+import io
 import math
 import random
+from datetime import datetime, timezone
 
 DAY_S = 86400
 
@@ -121,3 +124,40 @@ def naive_query(rows, profile_id=None, start_ts=None, end_ts=None, depths=None, 
         out.append(r)
     out.sort(key=lambda r: (r.timestamp, r.profile_id, r.depth_cm, r.channel.value, r.seq))
     return out
+
+
+NAIVE_CSV_FIELDS = ("timestamp", "recv_timestamp", "profile", "depth_cm",
+                    "channel", "seq", "value", "vwc_percent")
+
+
+def naive_iso_utc(ts):
+    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def naive_csv_line(row):
+    """One StoredRow as a line of its partition file, the way the store
+    encoded rows one at a time: a record dict, then per field an empty
+    string for None, repr for a float and the value itself otherwise,
+    written by a fresh csv.writer."""
+    rec = {
+        "timestamp": naive_iso_utc(row.timestamp),
+        "recv_timestamp": naive_iso_utc(row.recv_timestamp),
+        "profile": row.profile_id,
+        "depth_cm": row.depth_cm,
+        "channel": row.channel.value,
+        "seq": row.seq,
+        "value": row.value,
+        "vwc_percent": row.vwc_percent,
+    }
+    vals = []
+    for name in NAIVE_CSV_FIELDS:
+        v = rec[name]
+        if v is None:
+            vals.append("")
+        elif isinstance(v, float):
+            vals.append(repr(v))
+        else:
+            vals.append(v)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(vals)
+    return buf.getvalue().encode("ascii")

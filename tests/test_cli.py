@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -78,6 +79,24 @@ class TestSimulateOffline:
         ])
         assert rc == 0
         assert Store(other).query() == Store(offline_store).query()
+
+    def test_partition_bytes_pinned(self, tmp_path):
+        # Starts at 06:00, so each profile's first and last day are partial.
+        root = tmp_path / "data"
+        assert run_cli([
+            "simulate", "--offline", "--data-root", str(root), "--nodes", "2",
+            "--duration", "2d", "--seed", "7", "--start", "2024-01-04T06:00:00Z",
+        ]) == 0
+        got = {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in root.rglob("*") if p.is_file()}
+        assert got == {
+            "p1/2024-01-04.csv": "5fb90f7ffd7768b17ad104696383d0f391988e3a2c2c6c4d4025b6a155ff572d",
+            "p1/2024-01-05.csv": "937a991b582fb6e53b83ff2c3019c0881231045755c0d9fa669b9c4463b5b998",
+            "p1/2024-01-06.csv": "c50106b2fde43cc49d71cd8e9c2d63c4d3c78c4cb01307901fb16e29c18685a4",
+            "p2/2024-01-04.csv": "ab55709bcb1660e35a962e5d27ecfd03f2e9a8fce1fa77f8fedb6e2850ea93df",
+            "p2/2024-01-05.csv": "0d3f06006b929785860e0bccc2aaaef01c0cf2e0c32e636df439eae51bdf1135",
+            "p2/2024-01-06.csv": "d848ce4800141a41f3b5b7e81d0148c25cc84eb986ca0a40bc8d71a831f868a9",
+        }
 
 
 class TestCalibrate:

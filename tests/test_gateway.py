@@ -5,10 +5,11 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soilnet.core import FIELD_CALIBRATION, Channel, RawReading
 from soilnet.gateway import BindFailure, Gateway, GatewayClient, serve
-from soilnet.protocol import PROTO_VERSION, Ack, Err, Pub, Topic, render_frame
+from soilnet.protocol import MAX_FRAME_BYTES, PROTO_VERSION, Ack, Err, Pub, Topic, render_frame
 from soilnet.sim import ProfileConfig, default_field_model, run_node, step, tick_times
 from soilnet.store import Store, StoredRow, export_csv
 
@@ -119,12 +120,79 @@ class TestPublish:
         assert (counters["malformed"], counters["accepted"], counters["pub_total"]) == (1, 1, 2)
         assert gw.state.counters_consistent()
 
+    def test_overlong_err_reason_still_renders(self, gw):
+        bad_topic = "site/s/profile/" + "x" * 480  # 495 bytes, no depth or channel
+        line = f"PUB {bad_topic} 1 2 3\n".encode()
+        assert len(line) <= MAX_FRAME_BYTES
+        sock = socket.create_connection(gw.bound_addr, timeout=5)
+        with sock, sock.makefile("rwb") as f:
+            f.write(line)
+            f.flush()
+            assert f.readline().startswith(b"ERR malformed")
+            f.write(f"HELLO n1 {PROTO_VERSION}\n".encode())
+            f.flush()
+            assert f.readline() == b"ACK 0\n"
+        assert gw.counters()["malformed"] == 1
+
     def test_unreachable_gateway_buffers(self, tmp_path):
         client = GatewayClient(("127.0.0.1", 1), node_id="n1", site="s",
                                backoff_base_s=0.001, max_attempts=2)
         assert client.publish(reading()) == "buffered"
         assert len(client.buffer) == 1
         assert client.counters["retries"] >= 1
+
+
+class FailingStore(Store):
+    """A store whose next ``failures`` appends raise OSError."""
+
+    def __init__(self, root, failures):
+        super().__init__(root)
+        self.failures = failures
+
+    def append(self, row):
+        if self.failures:
+            self.failures -= 1
+            raise OSError(28, "No space left on device")
+        super().append(row)
+
+
+class TestStoreFailure:
+    def test_failed_append_is_retried_and_stored_once(self, tmp_path):
+        gw = serve(("127.0.0.1", 0), FailingStore(str(tmp_path / "data"), failures=1), site="s")
+        try:
+            client = make_client(gw)
+            try:
+                assert client.publish(reading(seq=1)) == "acknowledged"
+                assert client.publish(reading(seq=2)) == "acknowledged"
+            finally:
+                client.close()
+            counters = gw.counters()
+        finally:
+            gw.shutdown()
+            gw.server_close()
+        assert client.counters == {"acked": 2, "rejected": 0, "dropped_overflow": 0, "retries": 1}
+        assert [r.seq for r in gw.store.query()] == [1, 2]
+        assert (counters["accepted"], counters["duplicate"], counters["pub_total"]) == (2, 0, 2)
+        assert gw.state.counters_consistent()
+
+    def test_failed_append_changes_no_state(self, tmp_path):
+        gw = Gateway(("127.0.0.1", 0), FailingStore(str(tmp_path / "data"), failures=0), site="s")
+        try:
+            topic = "site/s/profile/p1/depth/5/moisture"
+            assert gw.handle_line(f"PUB {topic} 3 {T0} 1.3\n".encode()) == Ack(3)
+            before = (dict(gw.state.last_seen), gw.counters())
+            gw.store.failures = 1
+            reply = gw.handle_line(f"PUB {topic} 5 {T0 + 900} 1.3\n".encode())
+            assert isinstance(reply, Err) and reply.code == "store"
+            assert render_frame(reply)
+            assert (dict(gw.state.last_seen), gw.counters()) == before
+            # Seq 4 was never seen, and seq 5 was never stored.
+            assert gw.handle_line(f"PUB {topic} 4 {T0 + 450} 1.3\n".encode()) == Ack(4)
+            assert gw.handle_line(f"PUB {topic} 5 {T0 + 900} 1.3\n".encode()) == Ack(5)
+            assert gw.state.counters_consistent()
+        finally:
+            gw.server_close()
+        assert [r.seq for r in gw.store.query()] == [3, 4, 5]
 
 
 class TestSessionReplay:
@@ -247,6 +315,29 @@ class TestFuzz:
             reply = gw.handle_line(self._random_line(rng))
             assert reply is None or reply.__class__.__name__ in ("Ack", "Err")
             assert gw.state.counters_consistent()
+
+    def test_every_reply_renders(self, gw):
+        # Frames up to the size cap with one long token in any field (its
+        # repr may escape every character); the gateway keeps its state
+        # from one line to the next.
+        topic = "site/s/profile/p/depth/5/moisture"
+        templates = ["{}", "PUB {} 1 2 3", "PUB site/{} 1 2 3", "PUB site/s/profile/{}/depth/5/x 1 2 3",
+                     "PUB site/s/profile/p/depth/{}/moisture 1 2 3",
+                     "PUB site/s/profile/p/depth/5/{} 1 2 3", f"PUB {topic} {{}} 2 3",
+                     f"PUB {topic} 1 {{}} 3", f"PUB {topic} 1 2 {{}}", "HELLO {} 1", "HELLO n {}",
+                     "ACK {}"]
+        long_lines = st.builds(lambda t, c, n: t.format(c * n).encode(), st.sampled_from(templates),
+                               st.sampled_from(["x", "9", "'", "\\", "\x7f", "/"]),
+                               st.integers(0, MAX_FRAME_BYTES))
+
+        @settings(max_examples=300, deadline=None)
+        @given(long_lines | st.binary(max_size=MAX_FRAME_BYTES))
+        def check(line):
+            reply = gw.handle_line(line[:MAX_FRAME_BYTES - 1] + b"\n")
+            if reply is not None:
+                assert len(render_frame(reply).encode("ascii")) <= MAX_FRAME_BYTES
+
+        check()
 
     def test_fuzz_over_socket_connection_survives(self, gw):
         rng = random.Random(99)

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import random
+import shutil
 import tempfile
 from datetime import datetime, timezone
 from xml.etree import ElementTree as ET
@@ -22,7 +24,7 @@ from soilnet.store import (
     rows_with_vwc,
 )
 
-from oracles import naive_query
+from oracles import naive_csv_line, naive_query
 
 T0 = 1700000000  # mid-partition UTC instant
 DAY0 = 19675 * 86400  # 2023-11-14T00:00:00Z, the UTC midnight before T0
@@ -273,6 +275,82 @@ def test_windows_at_day_boundaries_match_naive_oracle(store):
             if start is None or end is None or start <= end:
                 assert (store.query(start_ts=start, end_ts=end)
                         == naive_query(rows, start_ts=start, end_ts=end))
+
+
+HEADER = (",".join(EXPORT_FIELDS) + "\n").encode()
+
+# Profile ids that need CSV quoting; floats whose repr and CSV forms are
+# easy to get wrong.
+csv_profiles = st.sampled_from(["p1", "p2", "a,b", 'q"r', 'x", y'])
+tricky_floats = st.sampled_from([0.0, -0.0, 3.0, -7.0, 1e16, 1e22, 1.7976931348623157e308,
+                                 -1.7976931348623157e308, 5e-324, 2.2250738585072014e-308,
+                                 1 / 3, float("inf"), float("nan")]) | st.floats()
+
+
+def _tree(root) -> dict:
+    """Every directory and file under ``root``, with each file's bytes."""
+    out = {}
+    for d, dirs, files in os.walk(root):
+        for name in dirs:
+            out[os.path.relpath(os.path.join(d, name), root)] = None
+        for name in files:
+            with open(os.path.join(d, name), "rb") as f:
+                out[os.path.relpath(os.path.join(d, name), root)] = f.read()
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields=st.lists(st.tuples(csv_profiles, st.integers(1, 200), st.sampled_from(list(Channel)),
+                                 tricky_floats, node_ts, st.integers(1, 2**40), recv_skew,
+                                 st.none() | tricky_floats),
+                       min_size=1, max_size=40),
+       data=st.data())
+def test_append_rows_writes_the_naive_lines_in_order(fields, data):
+    rows = [StoredRow(p, depth, ch, value, ts, seq, ts + skew, vwc)
+            for p, depth, ch, value, ts, seq, skew, vwc in fields]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    batches = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+    expected = {}
+    for row in rows:
+        day = datetime.fromtimestamp(row.timestamp, tz=timezone.utc).strftime("%Y-%m-%d")
+        path = os.path.join(row.profile_id, f"{day}.csv")
+        expected[path] = expected.get(path, HEADER) + naive_csv_line(row)
+    expected.update({p: None for p in {r.profile_id for r in rows}})
+    with tempfile.TemporaryDirectory() as root:
+        store = Store(root)
+        for batch in batches:
+            store.append_rows(iter(batch))
+        assert _tree(root) == expected
+
+
+@pytest.mark.parametrize("bad", [make_row(seq=9, ts=10**15), make_row(seq=9, recv=-10**15),
+                                 make_row(seq=9, ts=10**30), make_row(seq=9, profile="p\u00e9")],
+                         ids=["ts", "recv", "overflow", "non-ascii"])
+def test_unencodable_row_leaves_every_partition_unchanged(store, bad):
+    store.append_rows([make_row(seq=1), make_row(seq=1, profile="p2")])
+    before = _tree(store.root)
+    batch = [make_row(seq=2), make_row(seq=1, profile="p3"), bad,
+             make_row(seq=3, ts=T0 + 86400)]
+    with pytest.raises((ValueError, OverflowError)):
+        store.append_rows(batch)
+    assert _tree(store.root) == before
+    store.append_rows([make_row(seq=2)])
+    assert [r.seq for r in store.query(profile_id="p1")] == [1, 2]
+
+
+def test_partitions_removed_between_batches_are_recreated(store, tmp_path):
+    root = tmp_path / "data"
+    store.append_rows([make_row(seq=1), make_row(seq=1, profile="p2"),
+                       make_row(seq=2, ts=T0 + 86400)])
+    (root / "p1" / "2023-11-14.csv").unlink()
+    shutil.rmtree(root / "p2")
+    later = [make_row(seq=3, ts=T0 + 86401), make_row(seq=2, ts=T0 + 1),
+             make_row(seq=2, ts=T0 + 2, profile="p2")]
+    store.append_rows(later)
+    assert (root / "p1" / "2023-11-14.csv").read_bytes() == HEADER + naive_csv_line(later[1])
+    assert (root / "p2" / "2023-11-14.csv").read_bytes() == HEADER + naive_csv_line(later[2])
+    assert (root / "p1" / "2023-11-15.csv").read_bytes() == (
+        HEADER + naive_csv_line(make_row(seq=2, ts=T0 + 86400)) + naive_csv_line(later[0]))
 
 
 class TestSkewFlag:
