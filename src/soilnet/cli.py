@@ -111,11 +111,9 @@ def _cal_from_config(cfg: dict, model_path: str | None) -> core.CalibrationModel
 
 
 def cmd_serve(args) -> int:
-    store = Store(args.data_root)
-    if args.model:
-        store.register_model(_load_model(args.model))
+    site = _load_config(args.config).get("site", args.site)
     try:
-        gw = Gateway(parse_addr(args.listen), store, site=args.site)
+        gw = Gateway(parse_addr(args.listen), Store(args.data_root), site=site)
     except BindFailure as e:
         print(f"bind failed: {e}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -183,7 +181,6 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     addr = parse_addr(args.connect or cfg.get("gateway", f"127.0.0.1:{DEFAULT_PORT}"))
-    sleeper = None if math.isinf(args.clock_scale) else time.sleep
     failures = []
 
     def run_one(prof: sim.ProfileConfig):
@@ -197,7 +194,7 @@ def cmd_simulate(args) -> int:
             failures.append(f"{prof.profile_id}: cannot reach gateway: {e}")
             return
         try:
-            counters = sim.run_node(prof, fieldm, cal, client, duration_s, start_ts, sleep=sleeper)
+            counters = sim.run_node(prof, fieldm, cal, client, duration_s, start_ts)
         finally:
             client.close()
         if client.buffer or counters.get("dropped_overflow"):
@@ -253,18 +250,10 @@ def _query_args(store: Store, args) -> list[StoredRow]:
     return store.query(profile_id=args.profile, start_ts=start, end_ts=end)
 
 
-def cmd_apply(args) -> int:
-    model = _load_model(args.model)
-    store = Store(args.data_root)
-    rows = rows_with_vwc(_query_args(store, args), model)
-    data = export(rows, args.format)
-    _write_out(data, args.out)
-    return EXIT_OK
-
-
 def cmd_export(args) -> int:
-    store = Store(args.data_root)
-    rows = _query_args(store, args)
+    rows = _query_args(Store(args.data_root), args)
+    if args.model:
+        rows = rows_with_vwc(rows, _load_model(args.model))
     data = export(rows, args.format)
     _write_out(data, args.out)
     return EXIT_OK
@@ -346,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--listen", default=_env_default("listen", f"127.0.0.1:{DEFAULT_PORT}"))
     sp.add_argument("--site", default=_env_default("site", "site"))
-    sp.add_argument("--model", default=_env_default("model"))
     sp.set_defaults(func=cmd_serve)
 
     sp = sub.add_parser("simulate", help="run simulated sensor nodes")
@@ -376,17 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--start")
         sp.add_argument("--end")
 
-    sp = sub.add_parser("apply", help="export with vwc filled from a model")
+    sp = sub.add_parser("export", help="export stored rows; --model fills vwc_percent")
     common(sp)
     range_args(sp)
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--format", choices=["csv", "json", "xml"], default="csv")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_apply)
-
-    sp = sub.add_parser("export", help="export stored rows")
-    common(sp)
-    range_args(sp)
+    # No SOILNET_MODEL default: the environment never changes export bytes.
+    sp.add_argument("--model")
     sp.add_argument("--format", choices=["csv", "json", "xml"], default="csv")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_export)

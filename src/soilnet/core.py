@@ -20,18 +20,9 @@ class Channel(str, Enum):
 MOISTURE_VOLT_RANGE = (0.0, 3.3)
 TEMPERATURE_C_RANGE = (-55.0, 125.0)
 
-# Depths (cm) used by the reference field deployment.
-STANDARD_DEPTHS_CM = (5, 15, 50, 100)
-
-
-def channel_range(channel: Channel) -> tuple[float, float]:
-    if channel is Channel.MOISTURE_VOLTAGE:
-        return MOISTURE_VOLT_RANGE
-    return TEMPERATURE_C_RANGE
-
 
 def value_in_range(channel: Channel, value: float) -> bool:
-    lo, hi = channel_range(channel)
+    lo, hi = MOISTURE_VOLT_RANGE if channel is Channel.MOISTURE_VOLTAGE else TEMPERATURE_C_RANGE
     return math.isfinite(value) and lo <= value <= hi
 
 

@@ -30,7 +30,7 @@ from soilnet.protocol import (
     parse_frame,
     render_frame,
 )
-from soilnet.store import Store
+from soilnet.store import Store, StoredRow
 
 DEFAULT_PORT = 1884  # 1883-adjacent; real MQTT brokers own 1883
 
@@ -111,7 +111,9 @@ class Gateway(socketserver.ThreadingTCPServer):
         return None  # stray ACK/ERR from a peer: ignore
 
     def _store_pub(self, pub: Pub) -> None:
-        self.store.append_reading(pub.to_reading(), recv_timestamp=int(time.time()))
+        t = pub.topic
+        self.store.append(StoredRow(t.profile_id, t.depth_cm, t.channel, pub.value,
+                                    pub.timestamp, pub.seq, int(time.time())))
 
     def counters(self) -> dict:
         with self._state_lock:

@@ -17,7 +17,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
-from soilnet.core import Channel, RawReading, value_in_range
+from soilnet.core import Channel, value_in_range
 
 MAX_FRAME_BYTES = 512
 PROTO_VERSION = 1
@@ -94,16 +94,6 @@ class Pub:
     def stream_key(self) -> tuple:
         t = self.topic
         return (t.site, t.profile_id, t.depth_cm, t.channel)
-
-    def to_reading(self) -> RawReading:
-        return RawReading(
-            profile_id=self.topic.profile_id,
-            depth_cm=self.topic.depth_cm,
-            channel=self.topic.channel,
-            value=self.value,
-            timestamp=self.timestamp,
-            seq=self.seq,
-        )
 
 
 @dataclass(frozen=True)

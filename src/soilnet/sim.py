@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice
@@ -41,7 +42,7 @@ class ProfileConfig:
     depths_cm: tuple[int, ...] = (5, 15, 50, 100)
     cadence_s: int = 900
     seed: int = 0
-    clock_scale: float = 1.0
+    clock_scale: float = math.inf
 
     def __post_init__(self):
         if not self.depths_cm:
@@ -50,6 +51,8 @@ class ProfileConfig:
             raise ValueError("depths_cm must be strictly increasing and positive")
         if self.cadence_s <= 0:
             raise ValueError("cadence_s must be > 0")
+        if not self.clock_scale > 0:
+            raise ValueError("clock_scale must be > 0")
 
 
 @dataclass(frozen=True)
@@ -257,21 +260,22 @@ def run_node(
     transport,
     duration_s: int,
     start_ts: int = 0,
-    sleep=None,
 ) -> dict:
     """Generate and publish every tick's readings through ``transport``
     (an object with a ``publish(reading)`` method, see gateway.GatewayClient).
 
-    ``sleep`` is called with the wall delay between ticks; None means run
-    as fast as possible (clock_scale treated as infinite). Returns counters.
+    Paced by ``profile.clock_scale``: after each tick the node sleeps
+    ``cadence_s / clock_scale`` wall seconds, so 1.0 is real time and 900
+    one 15-minute tick a second; an infinite scale (the default) runs as
+    fast as possible. Returns counters.
     """
     published = 0
     for t_s in tick_times(duration_s, profile.cadence_s):
         for reading in step(profile, fieldm, cal, t_s, start_ts):
             transport.publish(reading)
             published += 1
-        if sleep is not None and profile.clock_scale != math.inf:
-            sleep(profile.cadence_s / profile.clock_scale)
+        if math.isfinite(profile.clock_scale):
+            time.sleep(profile.cadence_s / profile.clock_scale)
     counters = {"published": published}
     if hasattr(transport, "counters"):
         counters.update(transport.counters)

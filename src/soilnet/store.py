@@ -116,11 +116,7 @@ class StoredRow:
         return self.recv_timestamp < self.timestamp - allowed_skew_s
 
     @classmethod
-    def from_reading(cls, reading: RawReading, recv_timestamp: int,
-                     model: CalibrationModel | None = None) -> "StoredRow":
-        vwc = None
-        if model is not None and reading.channel is Channel.MOISTURE_VOLTAGE:
-            vwc = apply_calibration(model, reading.value)
+    def from_reading(cls, reading: RawReading, recv_timestamp: int) -> "StoredRow":
         return cls(
             profile_id=reading.profile_id,
             depth_cm=reading.depth_cm,
@@ -129,7 +125,6 @@ class StoredRow:
             timestamp=reading.timestamp,
             seq=reading.seq,
             recv_timestamp=recv_timestamp,
-            vwc_percent=vwc,
         )
 
 
@@ -168,19 +163,14 @@ class Store:
     node day, so a crash loses at most that day's unwritten rows. There is
     no fsync: a crash of the host can lose rows still in its page cache."""
 
-    def __init__(self, root: str, model: CalibrationModel | None = None):
+    def __init__(self, root: str):
         self.root = root
-        self.model = model
         # Partition path per (profile, day since the epoch).
         self._paths: dict[tuple[str, int], str] = {}
         # Partitions this instance has opened, each with its writer lock.
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
         os.makedirs(root, exist_ok=True)
-
-    def register_model(self, model: CalibrationModel) -> None:
-        """Moisture rows appended after this call carry a vwc_percent."""
-        self.model = model
 
     def _lock_for(self, path: str) -> threading.Lock:
         """The partition's writer lock. The first call per path creates or
@@ -230,9 +220,6 @@ class Store:
                     _write_all(fd, data)
                 finally:
                     os.close(fd)
-
-    def append_reading(self, reading: RawReading, recv_timestamp: int) -> None:
-        self.append(StoredRow.from_reading(reading, recv_timestamp, self.model))
 
     def profiles(self) -> list[str]:
         if not os.path.isdir(self.root):
@@ -407,8 +394,9 @@ def export(rows: list[StoredRow], fmt: str) -> bytes:
 
 
 def rows_with_vwc(rows: list[StoredRow], model: CalibrationModel) -> list[StoredRow]:
-    """Copy of ``rows`` with vwc_percent filled on moisture rows; store
-    files themselves are never rewritten."""
+    """Copy of ``rows`` with vwc_percent filled on moisture rows. This is
+    the one place a model applies: the store holds raw readings and is
+    never rewritten, so a refit model reaches all stored history."""
     out = []
     for row in rows:
         if row.channel is Channel.MOISTURE_VOLTAGE:

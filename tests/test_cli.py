@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -11,9 +12,10 @@ import time
 
 import pytest
 
-from soilnet.cli import main, parse_addr, parse_duration, parse_instant
+from soilnet.cli import build_parser, main, parse_addr, parse_duration, parse_instant
 from soilnet.core import FIELD_CALIBRATION
-from soilnet.store import Store, iso_utc
+from soilnet.gateway import serve
+from soilnet.store import Store, export_csv, iso_utc, rows_with_vwc
 
 TABLE_VOLT_VWC = [
     (1.23, 43.21), (1.24, 42.96), (1.26, 42.40), (1.32, 40.68), (1.36, 39.65),
@@ -39,6 +41,19 @@ class TestArgHelpers:
     def test_usage_errors_exit_1(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main([]) == 1
+
+    def test_readme_cli_block_parses(self):
+        # Every command README's CLI block shows is one this parser accepts.
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme) as f:
+            block = f.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("soilnet ")]
+        assert len(commands) >= 6
+        parser = build_parser()
+        for command in commands:
+            parser.parse_args(shlex.split(command)[1:])
 
 
 def run_cli(args):
@@ -151,12 +166,12 @@ class TestExport:
         n_xml = len(ET.parse(paths["xml"]).getroot())
         assert n_csv == n_json == n_xml == 2 * 8 * 25
 
-    def test_apply_fills_vwc(self, offline_store, tmp_path, capsys):
+    def test_export_model_fills_vwc(self, offline_store, tmp_path, capsys, monkeypatch):
         model_path = str(tmp_path / "model.json")
         with open(model_path, "w") as f:
             json.dump(FIELD_CALIBRATION.to_dict(), f)
         out = str(tmp_path / "out.csv")
-        assert run_cli(["apply", "--data-root", offline_store, "--model", model_path,
+        assert run_cli(["export", "--data-root", offline_store, "--model", model_path,
                         "--format", "csv", "--out", out]) == 0
         with open(out) as f:
             recs = list(csv.DictReader(f))
@@ -164,8 +179,17 @@ class TestExport:
         assert moisture and all(r["vwc_percent"] != "" for r in moisture)
         temps = [r for r in recs if r["channel"] == "temperature"]
         assert temps and all(r["vwc_percent"] == "" for r in temps)
+        with open(out, "rb") as f:
+            assert f.read() == export_csv(rows_with_vwc(Store(offline_store).query(),
+                                                        FIELD_CALIBRATION))
         # store files untouched
         assert all(r.vwc_percent is None for r in Store(offline_store).query())
+        # a plain export stays raw, whatever SOILNET_MODEL says
+        monkeypatch.setenv("SOILNET_MODEL", model_path)
+        plain = str(tmp_path / "plain.csv")
+        assert run_cli(["export", "--data-root", offline_store, "--out", plain]) == 0
+        with open(plain) as f:
+            assert all(r["vwc_percent"] == "" for r in csv.DictReader(f))
 
 
 class TestReport:
@@ -228,6 +252,47 @@ class TestServePipeline:
         finally:
             gw.shutdown()
             gw.server_close()
+
+    def test_serve_takes_site_from_config(self, tmp_path, capsys):
+        # The config names a site other than serve's default, as simulate
+        # reads it; a restart plus a full replay must append nothing.
+        root = str(tmp_path / "data")
+        cfg = tmp_path / "site.json"
+        cfg.write_text(json.dumps({"site": "iitm"}))
+        for _ in range(2):  # first session, then restart plus full replay
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "soilnet.cli", "serve", "--listen", "127.0.0.1:0",
+                 "--data-root", root, "--config", str(cfg)],
+                stderr=subprocess.PIPE, text=True,
+            )
+            with proc.stderr:
+                try:
+                    line = proc.stderr.readline()
+                    assert "listening on" in line
+                    assert run_cli(["simulate", "--connect", line.split()[-1],
+                                    "--config", str(cfg), "--nodes", "1", "--duration", "1h",
+                                    "--seed", "9", "--start", "1700000000",
+                                    "--backoff-base", "0.01", "--max-attempts", "2"]) == 0
+                finally:
+                    proc.send_signal(signal.SIGTERM)
+                    assert proc.wait(timeout=10) == 0
+            assert len(Store(root).query()) == 5 * 8
+
+    def test_simulate_paces_on_config_clock_scale(self, tmp_path, monkeypatch):
+        # A profile's clock_scale in --config paces its node; no flag needed.
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        cfg = tmp_path / "paced.json"
+        cfg.write_text(json.dumps({"profiles": [{"profile_id": "p1", "clock_scale": 900}]}))
+        gw = serve(("127.0.0.1", 0), Store(str(tmp_path / "data")))
+        try:
+            assert run_cli(["simulate", "--connect", f"127.0.0.1:{gw.bound_addr[1]}",
+                            "--config", str(cfg), "--duration", "1h",
+                            "--start", "1700000000", "--max-attempts", "1"]) == 0
+        finally:
+            gw.shutdown()
+            gw.server_close()
+        assert sleeps == [1.0] * 5  # one 900 s tick per wall second, 5 ticks
 
     def test_unreachable_gateway_exit_2(self, tmp_path, capsys):
         rc = run_cli(["simulate", "--connect", "127.0.0.1:1", "--nodes", "1",

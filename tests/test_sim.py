@@ -260,3 +260,10 @@ def test_profile_config_validation():
         ProfileConfig("p", depths_cm=(15, 5))
     with pytest.raises(ValueError):
         ProfileConfig("p", cadence_s=0)
+
+
+@pytest.mark.parametrize("clock_scale", [0.0, -900.0, math.nan])
+def test_profile_config_rejects_non_positive_clock_scale(clock_scale):
+    # run_node paces on cadence_s / clock_scale
+    with pytest.raises(ValueError):
+        ProfileConfig("p", clock_scale=clock_scale)

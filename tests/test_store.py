@@ -11,7 +11,7 @@ from xml.etree import ElementTree as ET
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from soilnet.core import FIELD_CALIBRATION, Channel, RawReading, apply_calibration
+from soilnet.core import FIELD_CALIBRATION, Channel, apply_calibration
 from soilnet.store import (
     EXPORT_FIELDS,
     Store,
@@ -461,11 +461,3 @@ class TestRowsWithVwc:
         rows = [make_row(value=1.30)]
         rows_with_vwc(rows, FIELD_CALIBRATION)
         assert rows[0].vwc_percent is None
-
-
-def test_store_registered_model_fills_vwc(tmp_path):
-    store = Store(str(tmp_path), model=FIELD_CALIBRATION)
-    reading = RawReading("p1", 5, Channel.MOISTURE_VOLTAGE, 1.30, T0, 1)
-    store.append_reading(reading, recv_timestamp=T0)
-    (row,) = store.query()
-    assert row.vwc_percent == pytest.approx(apply_calibration(FIELD_CALIBRATION, 1.30))
