@@ -19,7 +19,7 @@ import time
 
 from soilnet import core, sim
 from soilnet.core import Channel
-from soilnet.gateway import DEFAULT_PORT, BindFailure, Gateway, GatewayClient
+from soilnet.gateway import DEFAULT_PORT, BindFailure, GatewayClient, serve
 from soilnet.store import (
     DAY_S,
     Store,
@@ -113,7 +113,7 @@ def _cal_from_config(cfg: dict, model_path: str | None) -> core.CalibrationModel
 def cmd_serve(args) -> int:
     site = _load_config(args.config).get("site", args.site)
     try:
-        gw = Gateway(parse_addr(args.listen), Store(args.data_root), site=site)
+        gw = serve(parse_addr(args.listen), Store(args.data_root), site)
     except BindFailure as e:
         print(f"bind failed: {e}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -122,8 +122,6 @@ def cmd_serve(args) -> int:
         signal.signal(signum, lambda *_: stop.set())
     host, port = gw.bound_addr
     print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
-    t = threading.Thread(target=gw.serve_forever, daemon=True)
-    t.start()
     try:
         while not stop.is_set():
             stop.wait(0.2)

@@ -1,9 +1,9 @@
 """TCP ingestion gateway and publishing client.
 
 The gateway accepts any number of concurrent node connections, classifies
-each PUB frame (accept / duplicate / out-of-range / malformed), appends
-accepted readings to the store and replies with ACK or ERR. Per-frame
-errors never drop the connection or the server.
+each PUB frame (see protocol.Verdict), appends accepted readings to the
+store and replies with ACK or ERR. Per-frame errors never drop the
+connection or the server.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import socketserver
 import threading
 import time
 
-from soilnet.core import Channel, RawReading
+from soilnet.core import RawReading
 from soilnet.protocol import (
     PROTO_VERSION,
     Ack,
@@ -33,6 +33,7 @@ from soilnet.protocol import (
 from soilnet.store import Store, StoredRow
 
 DEFAULT_PORT = 1884  # 1883-adjacent; real MQTT brokers own 1883
+BUFFER_MAX = 10000  # readings a GatewayClient queues; beyond it the oldest is dropped
 
 
 class BindFailure(OSError):
@@ -64,7 +65,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class Gateway(socketserver.ThreadingTCPServer):
-    """Threaded line-protocol server feeding a Store.
+    """Threaded line-protocol server feeding a Store, for one site.
 
     Dedup state is seeded from the store on startup, so replaying a whole
     session after a restart appends nothing.
@@ -75,11 +76,10 @@ class Gateway(socketserver.ThreadingTCPServer):
 
     def __init__(self, listen_addr: tuple[str, int], store: Store, site: str = "site"):
         self.store = store
-        self.site = site
-        self.state = GatewayState()
+        # Channel is a str enum, so the store's keys, which hold the
+        # channel's value, are the keys validate_and_order looks up.
+        self.state = GatewayState(site, store.last_seqs())
         self._state_lock = threading.Lock()
-        for (profile, depth, chan), seq in store.last_seqs().items():
-            self.state.last_seen[(site, profile, depth, Channel(chan))] = seq
         try:
             super().__init__(listen_addr, _Handler)
         except OSError as e:
@@ -102,7 +102,9 @@ class Gateway(socketserver.ThreadingTCPServer):
             return Ack(frame.seq)
         if verdict is Verdict.OUT_OF_RANGE:
             return Err("out_of_range", f"value {frame.value!r} outside channel range")
-        if verdict is Verdict.MALFORMED or (frame is None and reason is not None):
+        if verdict is Verdict.FOREIGN_SITE:
+            return Err("site", "topic names a site this gateway does not serve")
+        if reason is not None:
             return Err("malformed", reason)
         if isinstance(frame, Hello):
             if frame.proto_version != PROTO_VERSION:
@@ -123,6 +125,7 @@ class Gateway(socketserver.ThreadingTCPServer):
                 "duplicate": s.duplicate,
                 "out_of_range": s.out_of_range,
                 "malformed": s.malformed,
+                "foreign_site": s.foreign_site,
                 "pub_total": s.pub_total,
             }
 
@@ -138,9 +141,11 @@ def serve(listen_addr: tuple[str, int], store: Store, site: str = "site") -> Gat
 class GatewayClient:
     """Single-connection sequential publisher with at-least-once retry.
 
-    On transport failure the client reconnects with exponential backoff
-    (base 1 s, cap 60 s by default) and buffers up to ``buffer_max``
-    readings, dropping the oldest beyond that (counted, never raising).
+    Readings queue in ``buffer`` and go out front-first, so each stream
+    reaches the gateway in seq order. On transport failure the client
+    reconnects with exponential backoff (base 1 s, cap 60 s by default);
+    unsent readings wait for the next ``publish``. A full queue
+    (BUFFER_MAX) drops its oldest reading (counted, never raising).
     """
 
     def __init__(
@@ -152,7 +157,6 @@ class GatewayClient:
         backoff_base_s: float = 1.0,
         backoff_cap_s: float = 60.0,
         max_attempts: int = 8,
-        buffer_max: int = 10000,
     ):
         self.addr = addr
         self.node_id = node_id
@@ -161,7 +165,7 @@ class GatewayClient:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.max_attempts = max_attempts
-        self.buffer = collections.deque(maxlen=buffer_max)
+        self.buffer = collections.deque(maxlen=BUFFER_MAX)
         self.counters = {"acked": 0, "rejected": 0, "dropped_overflow": 0, "retries": 0}
         self._sock: socket.socket | None = None
         self._rfile = None
@@ -221,33 +225,23 @@ class GatewayClient:
         raise TransportClosed(f"unexpected reply {reply!r}")
 
     def publish(self, reading: RawReading) -> str:
-        """Publish one reading; returns acknowledged | rejected | buffered."""
-        self._flush_buffer()
+        """Queue one reading, then send the queue front-first; returns this
+        reading's status: acknowledged | rejected | buffered."""
+        if len(self.buffer) == self.buffer.maxlen:
+            self.counters["dropped_overflow"] += 1
+        self.buffer.append(reading)
         for attempt in range(self.max_attempts):
             try:
                 if self._sock is None:
                     self.connect()
-                status = self._publish_once(reading)
-                self.counters["acked" if status == "acknowledged" else "rejected"] += 1
-                return status
+                while self.buffer:
+                    status = self._publish_once(self.buffer[0])
+                    self.buffer.popleft()
+                    self.counters["acked" if status == "acknowledged" else "rejected"] += 1
+                return status  # of the last reading sent, this one
             except (TransportClosed, OSError, Malformed):
                 self.close()
                 self.counters["retries"] += 1
                 if attempt < self.max_attempts - 1:
                     time.sleep(min(self.backoff_base_s * 2**attempt, self.backoff_cap_s))
-        if len(self.buffer) == self.buffer.maxlen:
-            self.counters["dropped_overflow"] += 1
-        self.buffer.append(reading)
         return "buffered"
-
-    def _flush_buffer(self) -> None:
-        while self.buffer:
-            reading = self.buffer[0]
-            try:
-                if self._sock is None:
-                    self.connect()
-                self._publish_once(reading)
-            except (TransportClosed, OSError, Malformed):
-                self.close()
-                return
-            self.buffer.popleft()

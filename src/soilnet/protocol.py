@@ -91,10 +91,6 @@ class Pub:
     timestamp: int
     value: float
 
-    def stream_key(self) -> tuple:
-        t = self.topic
-        return (t.site, t.profile_id, t.depth_cm, t.channel)
-
 
 @dataclass(frozen=True)
 class Ack:
@@ -192,43 +188,53 @@ class Verdict(Enum):
     DUPLICATE = "duplicate"
     OUT_OF_RANGE = "out_of_range"
     MALFORMED = "malformed"
+    FOREIGN_SITE = "foreign_site"
 
 
 @dataclass
 class GatewayState:
-    """Per-stream dedup state and frame counters.
+    """The gateway's site, per-stream dedup state and frame counters.
 
-    Invariant: accepted + duplicate + out_of_range + malformed equals the
-    number of PUB-typed frames received.
+    Invariant: accepted + duplicate + out_of_range + malformed +
+    foreign_site equals the number of PUB-typed frames received.
     """
 
-    last_seen: dict[tuple, int] = field(default_factory=dict)
+    site: str
+    last_seen: dict[tuple, int] = field(default_factory=dict)  # (profile, depth, channel) -> seq
     accepted: int = 0
     duplicate: int = 0
     out_of_range: int = 0
     malformed: int = 0
+    foreign_site: int = 0
     pub_total: int = 0
 
     def counters_consistent(self) -> bool:
-        return self.accepted + self.duplicate + self.out_of_range + self.malformed == self.pub_total
+        return (self.accepted + self.duplicate + self.out_of_range + self.malformed
+                + self.foreign_site == self.pub_total)
 
 
 def validate_and_order(state: GatewayState, pub: Pub,
                        store: Callable[[Pub], None] | None = None) -> Verdict:
     """Classify one parsed PUB frame and update dedup state/counters.
 
-    Accept iff seq is beyond the stream's last-seen AND the value is within
-    the channel's physical range. An accepted frame is first handed to
+    Accept iff the topic names the gateway's site (the store keeps no
+    site), seq is beyond the stream's last-seen AND the value is within the
+    channel's physical range. An accepted frame is first handed to
     ``store``, if given; last-seen and the counters move only once it has
     returned, so a frame whose store raises is not counted at all and its
     retry is classified afresh.
     """
-    key = pub.stream_key()
+    t = pub.topic
+    if t.site != state.site:
+        state.pub_total += 1
+        state.foreign_site += 1
+        return Verdict.FOREIGN_SITE
+    key = (t.profile_id, t.depth_cm, t.channel)
     if pub.seq <= state.last_seen.get(key, 0):
         state.pub_total += 1
         state.duplicate += 1
         return Verdict.DUPLICATE
-    if not value_in_range(pub.topic.channel, pub.value):
+    if not value_in_range(t.channel, pub.value):
         state.pub_total += 1
         state.out_of_range += 1
         return Verdict.OUT_OF_RANGE
@@ -250,13 +256,11 @@ def classify_line(state: GatewayState, line: str | bytes,
     non-PUB frames. Lines that look like PUB but fail to parse count
     against the malformed counter so the conservation identity holds.
     """
-    head = line.strip(b"\n") if isinstance(line, bytes) else line.strip("\n")
-    first = (head.split(b" ", 1) if isinstance(head, bytes) else head.split(" ", 1))[0]
-    looks_pub = first in ("PUB", b"PUB")
     try:
         frame = parse_frame(line)
     except Malformed as e:
-        if looks_pub:
+        text = line.decode("latin-1") if isinstance(line, bytes) else line  # total, byte for byte
+        if text.strip("\n").split(" ", 1)[0] == "PUB":
             state.pub_total += 1
             state.malformed += 1
             return Verdict.MALFORMED, None, e.reason

@@ -161,3 +161,22 @@ def naive_csv_line(row):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(vals)
     return buf.getvalue().encode("ascii")
+
+
+def naive_looks_pub(line):
+    """Whether the gateway counts ``line`` (str or bytes) as a PUB frame:
+    its first space-separated token, once newlines at either end are
+    stripped, is PUB. The rule the classifier applied to every line before
+    it parsed the line."""
+    head = line.strip(b"\n") if isinstance(line, bytes) else line.strip("\n")
+    first = (head.split(b" ", 1) if isinstance(head, bytes) else head.split(" ", 1))[0]
+    return first in ("PUB", b"PUB")
+
+
+def naive_last_seqs(rows):
+    """Highest seq per (profile, depth, channel value) among ``rows``."""
+    out = {}
+    for r in rows:
+        key = (r.profile_id, r.depth_cm, r.channel.value)
+        out[key] = max(out.get(key, 0), r.seq)
+    return out

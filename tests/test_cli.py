@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -16,6 +17,8 @@ from soilnet.cli import build_parser, main, parse_addr, parse_duration, parse_in
 from soilnet.core import FIELD_CALIBRATION
 from soilnet.gateway import serve
 from soilnet.store import Store, export_csv, iso_utc, rows_with_vwc
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TABLE_VOLT_VWC = [
     (1.23, 43.21), (1.24, 42.96), (1.26, 42.40), (1.32, 40.68), (1.36, 39.65),
@@ -44,9 +47,7 @@ class TestArgHelpers:
 
     def test_readme_cli_block_parses(self):
         # Every command README's CLI block shows is one this parser accepts.
-        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                              "README.md")
-        with open(readme) as f:
+        with open(os.path.join(REPO, "README.md")) as f:
             block = f.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
         commands = [line for line in block.replace("\\\n", " ").splitlines()
                     if line.startswith("soilnet ")]
@@ -54,6 +55,16 @@ class TestArgHelpers:
         parser = build_parser()
         for command in commands:
             parser.parse_args(shlex.split(command)[1:])
+
+    def test_readme_names_every_err_code(self):
+        # Every ERR code the gateway sends is one README's wire-protocol
+        # section documents.
+        with open(os.path.join(REPO, "README.md")) as f:
+            section = f.read().split("\n## Wire protocol\n", 1)[1].split("\n## ", 1)[0]
+        with open(os.path.join(REPO, "src", "soilnet", "gateway.py")) as f:
+            codes = set(re.findall(r'\bErr\("([^"]+)"', f.read()))
+        assert len(codes) >= 5
+        assert {code for code in codes if f"ERR {code}" not in section} == set()
 
 
 def run_cli(args):

@@ -2,13 +2,17 @@ import csv
 import io
 import random
 import socket
+import tempfile
 import threading
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from soilnet import gateway as gateway_module
 from soilnet.core import FIELD_CALIBRATION, Channel, RawReading
-from soilnet.gateway import BindFailure, Gateway, GatewayClient, serve
+from soilnet.gateway import BindFailure, Gateway, GatewayClient, TransportClosed, serve
 from soilnet.protocol import MAX_FRAME_BYTES, PROTO_VERSION, Ack, Err, Pub, Topic, render_frame
 from soilnet.sim import ProfileConfig, default_field_model, run_node, step, tick_times
 from soilnet.store import Store, StoredRow, export_csv
@@ -140,6 +144,123 @@ class TestPublish:
         assert client.publish(reading()) == "buffered"
         assert len(client.buffer) == 1
         assert client.counters["retries"] >= 1
+
+
+class TestSite:
+    def test_foreign_site_is_refused_and_never_stored(self, tmp_path):
+        root = str(tmp_path / "data")
+        lines = [f"PUB site/B/profile/p1/depth/5/moisture {seq} {T0 + 900 * seq} 1.3\n".encode()
+                 for seq in (1, 2, 3)]
+        for _ in range(2):  # first session, then restart plus full replay
+            gw = Gateway(("127.0.0.1", 0), Store(root), site="A")
+            try:
+                replies = [gw.handle_line(line) for line in lines]
+            finally:
+                gw.server_close()
+            assert [(type(r), r.code) for r in replies] == [(Err, "site")] * 3
+            counters = gw.counters()
+            assert (counters["foreign_site"], counters["accepted"]) == (3, 0)
+            assert gw.state.counters_consistent()
+        assert Store(root).query() == []
+
+
+class InProcessClient(GatewayClient):
+    """A GatewayClient whose connection is a direct call into ``gw``'s
+    ``handle_line``. A connect fails while ``reachable`` is false, and each
+    ``_publish_once`` takes the next of ``faults``: None, "pub_lost" (fails
+    before the gateway sees the PUB) or "ack_lost" (fails after)."""
+
+    def __init__(self, gw, faults=()):
+        super().__init__(gw.bound_addr, node_id="n1", site="s", max_attempts=3)
+        self.gw = gw
+        self.faults = iter(faults)
+        self.reachable = True
+        self.sent = []  # every PUB the gateway was handed, in order
+        self._reply = None
+
+    def connect(self):
+        if not self.reachable:
+            raise ConnectionRefusedError("gateway down")
+        self._sock = "in-process"
+
+    def close(self):
+        self._sock = None
+
+    def _send(self, frame):
+        self.sent.append(frame)
+        self._reply = self.gw.handle_line(render_frame(frame).encode("ascii"))
+
+    def _recv(self):
+        return self._reply
+
+    def _publish_once(self, r):
+        fault = next(self.faults, None)
+        if fault == "pub_lost":
+            raise TransportClosed("PUB lost")
+        status = super()._publish_once(r)
+        if fault == "ack_lost":
+            raise TransportClosed("ACK lost")
+        return status
+
+
+class TestClientQueue:
+    def test_outage_delivers_every_reading_in_order(self, tmp_path, monkeypatch):
+        gw = Gateway(("127.0.0.1", 0), Store(str(tmp_path / "data")), site="s")
+        try:
+            client = InProcessClient(gw)
+            client.reachable = False
+            monkeypatch.setattr(time, "sleep", lambda s: None)
+            assert client.publish(reading(seq=1)) == "buffered"
+            # The gateway comes back during seq 2's first backoff.
+            monkeypatch.setattr(time, "sleep", lambda s: setattr(client, "reachable", True))
+            assert client.publish(reading(seq=2)) == "acknowledged"
+            assert client.publish(reading(seq=3)) == "acknowledged"
+            counters = gw.counters()
+        finally:
+            gw.server_close()
+        assert [r.seq for r in gw.store.query()] == [1, 2, 3]
+        assert (counters["accepted"], counters["duplicate"]) == (3, 0)
+        assert client.counters["acked"] == 3
+        assert not client.buffer
+
+    def test_full_buffer_drops_and_counts_its_oldest(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "BUFFER_MAX", 2)
+        client = GatewayClient(("127.0.0.1", 1), node_id="n1", site="s", max_attempts=1)
+        assert [client.publish(reading(seq=seq)) for seq in (1, 2, 3)] == ["buffered"] * 3
+        assert [r.seq for r in client.buffer] == [2, 3]
+        assert client.counters["dropped_overflow"] == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_ticks=st.integers(1, 8), buffer_max=st.integers(1, 6),
+           faults=st.lists(st.sampled_from([None, None, "pub_lost", "ack_lost"]), max_size=40))
+    def test_streams_arrive_in_order_and_no_reading_is_lost_unsaid(self, n_ticks, buffer_max,
+                                                                   faults):
+        published = [reading(seq=seq, depth=depth) for seq in range(1, n_ticks + 1)
+                     for depth in (5, 15)]
+        with tempfile.TemporaryDirectory() as root, \
+                mock.patch.object(gateway_module, "BUFFER_MAX", buffer_max), \
+                mock.patch.object(time, "sleep"):
+            gw = Gateway(("127.0.0.1", 0), Store(root), site="s")
+            try:
+                client = InProcessClient(gw, faults)
+                for r in published:
+                    client.publish(r)
+                stored = gw.store.query()
+            finally:
+                gw.server_close()
+        seen = {}
+        for pub in client.sent:
+            seen.setdefault(pub.topic.depth_cm, []).append(pub.seq)
+        for seqs in seen.values():
+            assert seqs == sorted(seqs)
+        stored_keys = [(r.depth_cm, r.seq) for r in stored]
+        assert len(set(stored_keys)) == len(stored_keys)
+        unaccounted = {(r.depth_cm, r.seq) for r in published} - set(stored_keys) - {
+            (r.depth_cm, r.seq) for r in client.buffer}
+        dropped = client.counters["dropped_overflow"]
+        assert len(unaccounted) <= dropped
+        sent_once = len(published) - len(client.buffer) - dropped
+        assert client.counters["acked"] + client.counters["rejected"] == sent_once
 
 
 class FailingStore(Store):

@@ -18,6 +18,8 @@ from soilnet.protocol import (
     validate_and_order,
 )
 
+from oracles import naive_looks_pub
+
 segment = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), max_codepoint=127),
     min_size=1,
@@ -137,45 +139,52 @@ def _pub(seq=1, value=1.30, depth=5, channel=Channel.MOISTURE_VOLTAGE):
 
 class TestValidateAndOrder:
     def test_fresh_stream_accepts(self):
-        state = GatewayState()
+        state = GatewayState("s")
         assert validate_and_order(state, _pub(seq=1)) is Verdict.ACCEPT
         assert state.accepted == 1
 
     def test_replay_is_duplicate(self):
-        state = GatewayState()
+        state = GatewayState("s")
         validate_and_order(state, _pub(seq=1))
         assert validate_and_order(state, _pub(seq=1)) is Verdict.DUPLICATE
         assert validate_and_order(state, _pub(seq=0)) is Verdict.DUPLICATE
 
     def test_out_of_range_moisture(self):
-        state = GatewayState()
+        state = GatewayState("s")
         assert validate_and_order(state, _pub(value=5.0)) is Verdict.OUT_OF_RANGE
         # last-seen not advanced: the same seq with a good value is accepted
         assert validate_and_order(state, _pub(value=1.0)) is Verdict.ACCEPT
 
     def test_temperature_range(self):
-        state = GatewayState()
+        state = GatewayState("s")
         ok = _pub(channel=Channel.TEMPERATURE_C, value=-54.0)
         bad = _pub(seq=2, channel=Channel.TEMPERATURE_C, value=130.0)
         assert validate_and_order(state, ok) is Verdict.ACCEPT
         assert validate_and_order(state, bad) is Verdict.OUT_OF_RANGE
 
     def test_streams_independent(self):
-        state = GatewayState()
+        state = GatewayState("s")
         assert validate_and_order(state, _pub(seq=5, depth=5)) is Verdict.ACCEPT
         assert validate_and_order(state, _pub(seq=5, depth=15)) is Verdict.ACCEPT
 
     def test_counter_conservation(self):
-        state = GatewayState()
+        state = GatewayState("s")
         for pub in [_pub(1), _pub(1), _pub(2, value=9.9), _pub(3), _pub(2)]:
             validate_and_order(state, pub)
         assert state.counters_consistent()
         assert (state.accepted, state.duplicate, state.out_of_range) == (2, 2, 1)
 
+    def test_foreign_site_is_refused_before_dedup(self):
+        state = GatewayState("A")
+        foreign = Pub(Topic("B", "p1", 5, Channel.MOISTURE_VOLTAGE), 1, 1700000000, 1.3)
+        assert validate_and_order(state, foreign, store=pytest.fail) is Verdict.FOREIGN_SITE
+        assert (state.foreign_site, state.pub_total, state.last_seen) == (1, 1, {})
+        assert state.counters_consistent()
+
 
 class TestClassifyLine:
     def test_valid_pub(self):
-        state = GatewayState()
+        state = GatewayState("s")
         verdict, frame, reason = classify_line(
             state, "PUB site/s/profile/p1/depth/5/moisture 1 1700000000 1.3\n"
         )
@@ -183,19 +192,35 @@ class TestClassifyLine:
         assert isinstance(frame, Pub)
 
     def test_broken_pub_counts_malformed(self):
-        state = GatewayState()
+        state = GatewayState("s")
         verdict, frame, reason = classify_line(state, "PUB junk\n")
         assert verdict is Verdict.MALFORMED and frame is None and reason
         assert state.malformed == 1 and state.counters_consistent()
 
     def test_non_pub_garbage_not_counted(self):
-        state = GatewayState()
+        state = GatewayState("s")
         verdict, frame, reason = classify_line(state, "GARBAGE\n")
         assert verdict is None and frame is None and reason
         assert state.pub_total == 0 and state.counters_consistent()
 
     @given(st.binary(max_size=64))
     def test_arbitrary_bytes_never_raise(self, data):
-        state = GatewayState()
+        state = GatewayState("s")
         classify_line(state, data + b"\n")
         assert state.counters_consistent()
+
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.text(max_size=64),
+        st.builds(lambda head, tail: head + tail,
+                  st.sampled_from([b"PUB", b"PUB ", b"\nPUB ", b"\n\nPUB", b" PUB ", b"PUBX ",
+                                   b"PUB\r ", b"PUB site/s/profile/p1/depth/5/moisture "]),
+                  st.binary(max_size=32)),
+    ))
+    def test_malformed_pub_exactly_when_the_old_rule_says_pub(self, line):
+        # The first-token test runs only on lines that fail to parse; it
+        # must count the lines the old pre-split counted.
+        state = GatewayState("s")
+        verdict, frame, reason = classify_line(state, line)
+        assert (verdict is Verdict.MALFORMED) == (reason is not None and naive_looks_pub(line))
+        assert state.pub_total == naive_looks_pub(line)
