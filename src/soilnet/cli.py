@@ -19,7 +19,7 @@ import time
 
 from soilnet import core, sim
 from soilnet.core import Channel
-from soilnet.gateway import DEFAULT_PORT, BindFailure, GatewayClient, serve
+from soilnet.gateway import DEFAULT_PORT, BindFailure, Gateway, GatewayClient
 from soilnet.store import (
     DAY_S,
     Store,
@@ -113,20 +113,18 @@ def _cal_from_config(cfg: dict, model_path: str | None) -> core.CalibrationModel
 def cmd_serve(args) -> int:
     site = _load_config(args.config).get("site", args.site)
     try:
-        gw = serve(parse_addr(args.listen), Store(args.data_root), site)
+        gw = Gateway(parse_addr(args.listen), Store(args.data_root), site)
     except BindFailure as e:
         print(f"bind failed: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    host, port = gw.bound_addr
-    print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
+    # SIGTERM stops the gateway as SIGINT does: at once, as KeyboardInterrupt.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        while not stop.is_set():
-            stop.wait(0.2)
+        print("listening on %s:%d" % gw.bound_addr, file=sys.stderr, flush=True)
+        gw.serve_forever()
+    except KeyboardInterrupt:
+        pass
     finally:
-        gw.shutdown()
         gw.server_close()
     print(f"shutdown, counters={gw.counters()}", file=sys.stderr)
     return EXIT_OK
@@ -327,16 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--data-root", default=_env_default("data-root", "data"))
-        sp.add_argument("--config", default=_env_default("config"))
 
     sp = sub.add_parser("serve", help="run the ingestion gateway")
     common(sp)
+    sp.add_argument("--config", default=_env_default("config"))
     sp.add_argument("--listen", default=_env_default("listen", f"127.0.0.1:{DEFAULT_PORT}"))
     sp.add_argument("--site", default=_env_default("site", "site"))
     sp.set_defaults(func=cmd_serve)
 
     sp = sub.add_parser("simulate", help="run simulated sensor nodes")
     common(sp)
+    sp.add_argument("--config", default=_env_default("config"))
     sp.add_argument("--nodes", type=int, default=1)
     sp.add_argument("--duration", default="48h")
     sp.add_argument("--cadence", type=int, default=900)

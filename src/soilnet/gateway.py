@@ -1,8 +1,8 @@
 """TCP ingestion gateway and publishing client.
 
-The gateway accepts any number of concurrent node connections, classifies
-each PUB frame (see protocol.Verdict), appends accepted readings to the
-store and replies with ACK or ERR. Per-frame errors never drop the
+The gateway accepts any number of concurrent node connections and hands
+each line to protocol.classify_line, which appends accepted readings to
+the store and picks the ACK or ERR reply. Per-frame errors never drop the
 connection or the server.
 """
 
@@ -25,7 +25,6 @@ from soilnet.protocol import (
     Malformed,
     Pub,
     Topic,
-    Verdict,
     classify_line,
     parse_frame,
     render_frame,
@@ -61,7 +60,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 rest = self.rfile.readline(_READ_CAP)
             reply = server.handle_line(line)
             if reply is not None:
-                self.wfile.write(render_frame(reply).encode("ascii"))
+                self.wfile.write(render_frame(reply))
 
 
 class Gateway(socketserver.ThreadingTCPServer):
@@ -95,22 +94,9 @@ class Gateway(socketserver.ThreadingTCPServer):
         # matches accept order.
         with self._state_lock:
             try:
-                verdict, frame, reason = classify_line(self.state, line, self._store_pub)
+                return classify_line(self.state, line, self._store_pub)[1]
             except OSError as e:  # not stored, not counted: the node retries
                 return Err("store", f"append failed: {type(e).__name__}")
-        if verdict is Verdict.ACCEPT or verdict is Verdict.DUPLICATE:
-            return Ack(frame.seq)
-        if verdict is Verdict.OUT_OF_RANGE:
-            return Err("out_of_range", f"value {frame.value!r} outside channel range")
-        if verdict is Verdict.FOREIGN_SITE:
-            return Err("site", "topic names a site this gateway does not serve")
-        if reason is not None:
-            return Err("malformed", reason)
-        if isinstance(frame, Hello):
-            if frame.proto_version != PROTO_VERSION:
-                return Err("version", f"unsupported proto_version, want {PROTO_VERSION}")
-            return Ack(0)
-        return None  # stray ACK/ERR from a peer: ignore
 
     def _store_pub(self, pub: Pub) -> None:
         t = pub.topic
@@ -131,10 +117,10 @@ class Gateway(socketserver.ThreadingTCPServer):
 
 
 def serve(listen_addr: tuple[str, int], store: Store, site: str = "site") -> Gateway:
-    """Start a gateway in a background thread; call .shutdown() to stop."""
+    """Start a gateway in a background thread that polls every 0.05 s, so
+    .shutdown() returns within that; then call .server_close()."""
     gw = Gateway(listen_addr, store, site)
-    t = threading.Thread(target=gw.serve_forever, daemon=True)
-    t.start()
+    threading.Thread(target=gw.serve_forever, args=(0.05,), daemon=True).start()
     return gw
 
 
@@ -199,7 +185,7 @@ class GatewayClient:
         if self._sock is None:
             raise TransportClosed("not connected")
         try:
-            self._sock.sendall(render_frame(frame).encode("ascii"))
+            self._sock.sendall(render_frame(frame))
         except OSError as e:
             raise TransportClosed(str(e)) from e
 
@@ -212,9 +198,12 @@ class GatewayClient:
             raise TransportClosed("connection closed by gateway")
         return parse_frame(line)
 
-    def _publish_once(self, reading: RawReading) -> str:
+    def _pub(self, reading: RawReading) -> Pub:
         topic = Topic(self.site, reading.profile_id, reading.depth_cm, reading.channel)
-        self._send(Pub(topic, reading.seq, reading.timestamp, reading.value))
+        return Pub(topic, reading.seq, reading.timestamp, reading.value)
+
+    def _publish_once(self, reading: RawReading) -> str:
+        self._send(self._pub(reading))
         reply = self._recv()
         if isinstance(reply, Ack):
             return "acknowledged"
@@ -226,7 +215,13 @@ class GatewayClient:
 
     def publish(self, reading: RawReading) -> str:
         """Queue one reading, then send the queue front-first; returns this
-        reading's status: acknowledged | rejected | buffered."""
+        reading's status: acknowledged | rejected | buffered. A reading no
+        PUB can carry is rejected at once, never queued."""
+        try:
+            render_frame(self._pub(reading))
+        except ValueError:
+            self.counters["rejected"] += 1
+            return "rejected"
         if len(self.buffer) == self.buffer.maxlen:
             self.counters["dropped_overflow"] += 1
         self.buffer.append(reading)

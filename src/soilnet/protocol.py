@@ -1,6 +1,6 @@
-"""Line-based publish wire protocol and gateway-side frame classification.
+"""Line-based publish wire protocol and the gateway's reply to each line.
 
-Grammar (ASCII, LF-terminated, single-space separators, frames <= 512 bytes):
+Frames are ASCII bytes, LF-terminated, single-space separated, <= 512 bytes:
 
     HELLO <node_id> <proto_version>
     PUB <topic> <seq> <unix_ts_seconds> <value_decimal>    (seq >= 1, ts in TS_RANGE)
@@ -42,7 +42,9 @@ def _quote(tok: str) -> str:
 
 
 def _check_segment(seg: str, what: str) -> str:
-    if not seg or "/" in seg or any(ch.isspace() for ch in seg):
+    # A profile id names a store directory. isprintable() is False for NUL,
+    # the other control characters and every whitespace character but " ".
+    if not seg or "/" in seg or " " in seg or seg in (".", "..") or not seg.isprintable():
         raise Malformed(f"{what}: bad segment {_quote(seg)}")
     return seg
 
@@ -122,17 +124,14 @@ def _parse_value(tok: str) -> float:
     return v
 
 
-def parse_frame(line: str | bytes) -> Frame:
+def parse_frame(data: bytes) -> Frame:
     """Total parse of one frame line; raises Malformed with a reason."""
-    if isinstance(line, bytes):
-        if len(line) > MAX_FRAME_BYTES:
-            raise Malformed("frame exceeds 512 bytes")
-        try:
-            line = line.decode("ascii")
-        except UnicodeDecodeError:
-            raise Malformed("non-ascii frame") from None
-    elif len(line.encode("ascii", "replace")) > MAX_FRAME_BYTES:
+    if len(data) > MAX_FRAME_BYTES:
         raise Malformed("frame exceeds 512 bytes")
+    try:
+        line = data.decode("ascii")
+    except UnicodeDecodeError:
+        raise Malformed("non-ascii frame") from None
     if line.endswith("\n"):
         line = line[:-1]
     if not line or line != line.strip() or "\r" in line:
@@ -167,7 +166,8 @@ def parse_frame(line: str | bytes) -> Frame:
     raise Malformed(f"unknown frame type {_quote(kind)}")
 
 
-def render_frame(frame: Frame) -> str:
+def render_frame(frame: Frame) -> bytes:
+    """The frame's line; ValueError if it is not ASCII or over 512 bytes."""
     if isinstance(frame, Pub):
         line = f"PUB {frame.topic.render()} {frame.seq} {frame.timestamp} {frame.value!r}\n"
     elif isinstance(frame, Hello):
@@ -178,9 +178,10 @@ def render_frame(frame: Frame) -> str:
         line = f"ERR {frame.code} {frame.message}\n"
     else:
         raise TypeError(f"not a frame: {frame!r}")
-    if len(line.encode("ascii")) > MAX_FRAME_BYTES:
+    data = line.encode("ascii")
+    if len(data) > MAX_FRAME_BYTES:
         raise ValueError("rendered frame exceeds 512 bytes")
-    return line
+    return data
 
 
 class Verdict(Enum):
@@ -246,25 +247,30 @@ def validate_and_order(state: GatewayState, pub: Pub,
     return Verdict.ACCEPT
 
 
-def classify_line(state: GatewayState, line: str | bytes,
-                  store: Callable[[Pub], None] | None = None,
-                  ) -> tuple[Verdict | None, Frame | None, str | None]:
-    """Parse + classify one inbound line the way the gateway does; an
-    accepted PUB goes to ``store`` (see ``validate_and_order``).
-
-    Returns (verdict, frame, error_reason). Verdict is None for valid
-    non-PUB frames. Lines that look like PUB but fail to parse count
-    against the malformed counter so the conservation identity holds.
-    """
+def classify_line(state: GatewayState, line: bytes, store: Callable[[Pub], None],
+                  ) -> tuple[Verdict | None, Frame | None]:
+    """Parse, classify and answer one inbound line as the gateway does.
+    Returns (verdict, reply): verdict is None for a frame that is no PUB,
+    reply None for a stray ACK or ERR. An accepted PUB goes to ``store``
+    (see ``validate_and_order``); a line that looks like a PUB but fails to
+    parse counts as malformed, so the conservation identity holds."""
     try:
         frame = parse_frame(line)
     except Malformed as e:
-        text = line.decode("latin-1") if isinstance(line, bytes) else line  # total, byte for byte
-        if text.strip("\n").split(" ", 1)[0] == "PUB":
+        if line.strip(b"\n").split(b" ", 1)[0] == b"PUB":
             state.pub_total += 1
             state.malformed += 1
-            return Verdict.MALFORMED, None, e.reason
-        return None, None, e.reason
+            return Verdict.MALFORMED, Err("malformed", e.reason)
+        return None, Err("malformed", e.reason)
     if isinstance(frame, Pub):
-        return validate_and_order(state, frame, store), frame, None
-    return None, frame, None
+        verdict = validate_and_order(state, frame, store)
+        if verdict is Verdict.OUT_OF_RANGE:
+            return verdict, Err("out_of_range", f"value {frame.value!r} outside channel range")
+        if verdict is Verdict.FOREIGN_SITE:
+            return verdict, Err("site", "topic names a site this gateway does not serve")
+        return verdict, Ack(frame.seq)  # accepted or duplicate
+    if isinstance(frame, Hello):
+        if frame.proto_version != PROTO_VERSION:
+            return None, Err("version", f"unsupported proto_version, want {PROTO_VERSION}")
+        return None, Ack(0)
+    return None, None

@@ -191,8 +191,8 @@ class Store:
 
     def append_rows(self, rows: Iterable[StoredRow]) -> None:
         """Append ``rows``, in order within each partition, with one write()
-        per partition. Every row is encoded before any byte is written, so a
-        row that cannot be stored raises with every partition unchanged."""
+        per partition. Rows are encoded and profile ids checked before any byte
+        is written, so a row that cannot be stored leaves every partition as it was."""
         batches: dict[tuple[str, int], list[tuple]] = {}
         for row in rows:
             key = (row.profile_id, row.timestamp // DAY_S)
@@ -204,6 +204,8 @@ class Store:
         for key, batch in batches.items():
             path = self._paths.get(key)
             if path is None:
+                if key[0] in ("", ".", "..") or "/" in key[0] or "\0" in key[0]:
+                    raise ValueError(f"profile id {key[0]!r} is not a directory name")
                 path = self._paths[key] = os.path.join(self.root, key[0],
                                                        f"{_utc_date(key[1])}.csv")
             buf = io.StringIO()
@@ -369,13 +371,10 @@ def export_json(rows: list[StoredRow]) -> bytes:
 def export_xml(rows: list[StoredRow]) -> bytes:
     root = ET.Element("readings")
     for row in rows:
-        rec = _row_record(row)
-        attrs = {}
-        for name in EXPORT_FIELDS:
-            v = rec[name]
-            if v is None:
-                continue
-            attrs[name] = repr(v) if isinstance(v, float) else str(v)
+        *values, vwc = _row_values(row)
+        attrs = dict(zip(EXPORT_FIELDS, map(str, values)))
+        if vwc:
+            attrs["vwc_percent"] = vwc
         ET.SubElement(root, "reading", attrs)
     ET.indent(root)
     return ET.tostring(root, encoding="unicode").encode("ascii") + b"\n"

@@ -58,11 +58,14 @@ class TestArgHelpers:
 
     def test_readme_names_every_err_code(self):
         # Every ERR code the gateway sends is one README's wire-protocol
-        # section documents.
+        # section documents. protocol.py chooses each line's reply;
+        # gateway.py adds ERR store.
         with open(os.path.join(REPO, "README.md")) as f:
             section = f.read().split("\n## Wire protocol\n", 1)[1].split("\n## ", 1)[0]
-        with open(os.path.join(REPO, "src", "soilnet", "gateway.py")) as f:
-            codes = set(re.findall(r'\bErr\("([^"]+)"', f.read()))
+        codes = set()
+        for module in ("protocol.py", "gateway.py"):
+            with open(os.path.join(REPO, "src", "soilnet", module)) as f:
+                codes |= set(re.findall(r'\bErr\("([^"]+)"', f.read()))
         assert len(codes) >= 5
         assert {code for code in codes if f"ERR {code}" not in section} == set()
 
@@ -324,6 +327,22 @@ class TestServePipeline:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=10) == 0
         assert Store(root).query() == []
+
+    def test_serve_prints_its_address_and_counters(self, tmp_path):
+        # The two lines a supervisor reads: where the gateway listens, and
+        # its counters once SIGTERM has stopped it.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "soilnet.cli", "serve",
+             "--listen", "127.0.0.1:0", "--data-root", str(tmp_path / "data")],
+            stderr=subprocess.PIPE, text=True,
+        )
+        with proc.stderr:
+            assert re.fullmatch(r"listening on 127\.0\.0\.1:\d+\n", proc.stderr.readline())
+            proc.send_signal(signal.SIGTERM)
+            err = proc.stderr.read()
+        assert proc.wait(timeout=10) == 0
+        assert err == ("shutdown, counters={'accepted': 0, 'duplicate': 0, 'out_of_range': 0, "
+                       "'malformed': 0, 'foreign_site': 0, 'pub_total': 0}\n")
 
     def test_bad_data_root_exit_nonzero(self, tmp_path):
         # a plain file where a directory is needed fails even when running as root

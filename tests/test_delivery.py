@@ -42,7 +42,7 @@ COUNTERS = ("accepted", "duplicate", "out_of_range", "malformed", "foreign_site"
 def pub_line(stream, seq, value, site=SITE):
     profile, depth, channel = stream
     pub = Pub(Topic(site, profile, depth, channel), seq, T0 + 900 * seq, value)
-    return render_frame(pub).encode("ascii")
+    return render_frame(pub)
 
 
 TOPIC = "site/A/profile/p1/depth/5/moisture"

@@ -72,7 +72,7 @@ class TestPublish:
         f.flush()
         assert f.readline().startswith(b"ERR malformed")
         pub = Pub(Topic("s", "p1", 5, Channel.MOISTURE_VOLTAGE), 1, T0, 1.3)
-        f.write(render_frame(pub).encode())
+        f.write(render_frame(pub))
         f.flush()
         assert f.readline() == b"ACK 1\n"
         sock.close()
@@ -102,6 +102,18 @@ class TestPublish:
             assert gw.handle_line(f"PUB {topic} {seq} {ts} 1.5\n".encode()) == Ack(seq)
         assert [r.timestamp for r in gw.store.query()] == [-30610224000, 253402300799]
 
+    def test_profile_ids_no_directory_can_hold_are_malformed(self, gw, tmp_path):
+        # ".." would store the reading beside the data root, "." in the
+        # root itself, where no query or last_seqs finds it; no path can
+        # hold a NUL.
+        for profile in ("..", ".", "p\x00"):
+            line = f"PUB site/s/profile/{profile}/depth/5/moisture 1 {T0} 1.0\n".encode()
+            reply = gw.handle_line(line)
+            assert isinstance(reply, Err) and reply.code == "malformed"
+        assert (gw.counters()["malformed"], gw.counters()["accepted"]) == (3, 0)
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
+        assert list((tmp_path / "data").iterdir()) == []
+
     def test_hello_version_mismatch_is_rejected(self, gw):
         sock = socket.create_connection(gw.bound_addr, timeout=5)
         with sock, sock.makefile("rwb") as f:
@@ -116,7 +128,7 @@ class TestPublish:
         sock = socket.create_connection(gw.bound_addr, timeout=5)
         pub = Pub(Topic("s", "p1", 5, Channel.MOISTURE_VOLTAGE), 1, T0, 1.3)
         with sock, sock.makefile("rwb") as f:
-            f.write(b"PUB " + b"x" * 10000 + b"\n" + render_frame(pub).encode())
+            f.write(b"PUB " + b"x" * 10000 + b"\n" + render_frame(pub))
             f.flush()
             assert f.readline().startswith(b"ERR malformed")
             assert f.readline() == b"ACK 1\n"
@@ -188,7 +200,7 @@ class InProcessClient(GatewayClient):
 
     def _send(self, frame):
         self.sent.append(frame)
-        self._reply = self.gw.handle_line(render_frame(frame).encode("ascii"))
+        self._reply = self.gw.handle_line(render_frame(frame))
 
     def _recv(self):
         return self._reply
@@ -222,6 +234,24 @@ class TestClientQueue:
         assert (counters["accepted"], counters["duplicate"]) == (3, 0)
         assert client.counters["acked"] == 3
         assert not client.buffer
+
+    @pytest.mark.parametrize("profile", ["p 1", "p\u00e9", "p" * 600],
+                             ids=["space", "non-ascii", "oversized"])
+    def test_unrenderable_reading_is_rejected_and_never_queued(self, tmp_path, monkeypatch,
+                                                               profile):
+        # No PUB can carry the reading, so it must not hold up the queue.
+        monkeypatch.setattr(time, "sleep", lambda s: None)
+        gw = Gateway(("127.0.0.1", 0), Store(str(tmp_path / "data")), site="s")
+        try:
+            client = InProcessClient(gw)
+            assert client.publish(reading(seq=1, profile=profile)) == "rejected"
+            assert not client.buffer
+            assert client.publish(reading(seq=2)) == "acknowledged"
+        finally:
+            gw.server_close()
+        assert [r.seq for r in gw.store.query()] == [2]
+        assert (client.counters["rejected"], client.counters["acked"]) == (1, 1)
+        assert client.counters["retries"] == 0
 
     def test_full_buffer_drops_and_counts_its_oldest(self, monkeypatch):
         monkeypatch.setattr(gateway_module, "BUFFER_MAX", 2)
@@ -361,7 +391,7 @@ class TestSessionReplay:
         def pub_line(seq):
             r = reading(seq=seq)
             topic = Topic("s", r.profile_id, r.depth_cm, r.channel)
-            return render_frame(Pub(topic, r.seq, r.timestamp, r.value)).encode()
+            return render_frame(Pub(topic, r.seq, r.timestamp, r.value))
 
         root = str(tmp_path / "data")
         gw1 = Gateway(("127.0.0.1", 0), Store(root), site="s")
@@ -456,7 +486,7 @@ class TestFuzz:
         def check(line):
             reply = gw.handle_line(line[:MAX_FRAME_BYTES - 1] + b"\n")
             if reply is not None:
-                assert len(render_frame(reply).encode("ascii")) <= MAX_FRAME_BYTES
+                assert len(render_frame(reply)) <= MAX_FRAME_BYTES
 
         check()
 
@@ -469,7 +499,7 @@ class TestFuzz:
         sock_f.flush()
         # Connection still serves a valid frame afterwards.
         pub = Pub(Topic("s", "pz", 5, Channel.MOISTURE_VOLTAGE), 1, T0, 1.3)
-        sock_f.write(render_frame(pub).encode())
+        sock_f.write(render_frame(pub))
         sock_f.flush()
         deadline = 400
         line = sock_f.readline()

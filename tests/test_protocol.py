@@ -68,6 +68,10 @@ class TestTopic:
             "site/farm/profile/p1/depth/0/moisture",
             "plot/farm/profile/p1/depth/5/moisture",
             "site//profile/p1/depth/5/moisture",
+            "site/farm/profile/../depth/5/moisture",
+            "site/farm/profile/./depth/5/moisture",
+            "site/farm/profile/p\x00/depth/5/moisture",
+            "site/./profile/p1/depth/5/moisture",
         ],
     )
     def test_parse_rejects(self, bad):
@@ -83,30 +87,30 @@ class TestTopic:
 
 class TestParseFrame:
     def test_pub_example(self):
-        f = parse_frame("PUB site/farm/profile/p1/depth/5/moisture 42 1700000000 1.23\n")
+        f = parse_frame(b"PUB site/farm/profile/p1/depth/5/moisture 42 1700000000 1.23\n")
         assert f == Pub(Topic("farm", "p1", 5, Channel.MOISTURE_VOLTAGE), 42, 1700000000, 1.23)
 
     def test_hello_ack_err(self):
-        assert parse_frame("HELLO node7 1\n") == Hello("node7", 1)
-        assert parse_frame("ACK 42\n") == Ack(42)
-        assert parse_frame("ERR malformed bad topic\n") == Err("malformed", "bad topic")
+        assert parse_frame(b"HELLO node7 1\n") == Hello("node7", 1)
+        assert parse_frame(b"ACK 42\n") == Ack(42)
+        assert parse_frame(b"ERR malformed bad topic\n") == Err("malformed", "bad topic")
 
     @pytest.mark.parametrize(
         "bad",
         [
-            "PUB bad topic 1 2 3\n",
-            "PUB site/a/profile/b/depth/5/moisture 1 2\n",
-            "PUB site/a/profile/b/depth/5/moisture 1 2 nan\n",
-            "PUB site/a/profile/b/depth/5/moisture 1 2 inf\n",
-            "PUB site/a/profile/b/depth/5/moisture -1 2 1.0\n",
-            "PUB site/a/profile/b/depth/5/moisture 0 2 1.0\n",
-            "PUB site/a/profile/b/depth/5/moisture 1 -30610224001 1.0\n",
-            "PUB site/a/profile/b/depth/5/moisture 1 253402300800 1.0\n",
-            "PUB  site/a/profile/b/depth/5/moisture 1 2 1.0\n",
-            "pub site/a/profile/b/depth/5/moisture 1 2 1.0\n",
-            "\n",
-            " PUB x 1 2 3\n",
-            "PUB " + "x" * 600 + " 1 2 3\n",
+            b"PUB bad topic 1 2 3\n",
+            b"PUB site/a/profile/b/depth/5/moisture 1 2\n",
+            b"PUB site/a/profile/b/depth/5/moisture 1 2 nan\n",
+            b"PUB site/a/profile/b/depth/5/moisture 1 2 inf\n",
+            b"PUB site/a/profile/b/depth/5/moisture -1 2 1.0\n",
+            b"PUB site/a/profile/b/depth/5/moisture 0 2 1.0\n",
+            b"PUB site/a/profile/b/depth/5/moisture 1 -30610224001 1.0\n",
+            b"PUB site/a/profile/b/depth/5/moisture 1 253402300800 1.0\n",
+            b"PUB  site/a/profile/b/depth/5/moisture 1 2 1.0\n",
+            b"pub site/a/profile/b/depth/5/moisture 1 2 1.0\n",
+            b"\n",
+            b" PUB x 1 2 3\n",
+            b"PUB " + b"x" * 600 + b" 1 2 3\n",
         ],
     )
     def test_malformed(self, bad):
@@ -115,7 +119,8 @@ class TestParseFrame:
 
     def test_timestamp_range_ends_accepted(self):
         for ts in TS_RANGE:
-            assert parse_frame(f"PUB site/a/profile/b/depth/5/moisture 1 {ts} 1.0\n").timestamp == ts
+            line = f"PUB site/a/profile/b/depth/5/moisture 1 {ts} 1.0\n".encode()
+            assert parse_frame(line).timestamp == ts
 
     def test_bytes_input(self):
         f = parse_frame(b"ACK 7\n")
@@ -184,34 +189,34 @@ class TestValidateAndOrder:
 
 class TestClassifyLine:
     def test_valid_pub(self):
-        state = GatewayState("s")
-        verdict, frame, reason = classify_line(
-            state, "PUB site/s/profile/p1/depth/5/moisture 1 1700000000 1.3\n"
+        state, stored = GatewayState("s"), []
+        verdict, reply = classify_line(
+            state, b"PUB site/s/profile/p1/depth/5/moisture 1 1700000000 1.3\n", stored.append
         )
-        assert verdict is Verdict.ACCEPT and reason is None
-        assert isinstance(frame, Pub)
+        assert verdict is Verdict.ACCEPT and reply == Ack(1)
+        assert isinstance(stored[0], Pub)
 
     def test_broken_pub_counts_malformed(self):
         state = GatewayState("s")
-        verdict, frame, reason = classify_line(state, "PUB junk\n")
-        assert verdict is Verdict.MALFORMED and frame is None and reason
+        verdict, reply = classify_line(state, b"PUB junk\n", pytest.fail)
+        assert verdict is Verdict.MALFORMED and reply.code == "malformed" and reply.message
         assert state.malformed == 1 and state.counters_consistent()
 
     def test_non_pub_garbage_not_counted(self):
         state = GatewayState("s")
-        verdict, frame, reason = classify_line(state, "GARBAGE\n")
-        assert verdict is None and frame is None and reason
+        verdict, reply = classify_line(state, b"GARBAGE\n", pytest.fail)
+        assert verdict is None and reply.code == "malformed" and reply.message
         assert state.pub_total == 0 and state.counters_consistent()
 
     @given(st.binary(max_size=64))
     def test_arbitrary_bytes_never_raise(self, data):
         state = GatewayState("s")
-        classify_line(state, data + b"\n")
+        classify_line(state, data + b"\n", [].append)
         assert state.counters_consistent()
 
     @given(st.one_of(
         st.binary(max_size=64),
-        st.text(max_size=64),
+        st.text(max_size=64).map(str.encode),
         st.builds(lambda head, tail: head + tail,
                   st.sampled_from([b"PUB", b"PUB ", b"\nPUB ", b"\n\nPUB", b" PUB ", b"PUBX ",
                                    b"PUB\r ", b"PUB site/s/profile/p1/depth/5/moisture "]),
@@ -221,6 +226,7 @@ class TestClassifyLine:
         # The first-token test runs only on lines that fail to parse; it
         # must count the lines the old pre-split counted.
         state = GatewayState("s")
-        verdict, frame, reason = classify_line(state, line)
-        assert (verdict is Verdict.MALFORMED) == (reason is not None and naive_looks_pub(line))
+        verdict, reply = classify_line(state, line, [].append)
+        malformed = isinstance(reply, Err) and reply.code == "malformed"
+        assert (verdict is Verdict.MALFORMED) == (malformed and naive_looks_pub(line))
         assert state.pub_total == naive_looks_pub(line)

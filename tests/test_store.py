@@ -323,17 +323,22 @@ def test_append_rows_writes_the_naive_lines_in_order(fields, data):
         assert _tree(root) == expected
 
 
+# A profile id names the partition's directory: "" or "." would put a
+# partition in the root, where no query or last_seqs finds it, ".." beside
+# the root; no path can hold a NUL.
 @pytest.mark.parametrize("bad", [make_row(seq=9, ts=10**15), make_row(seq=9, recv=-10**15),
-                                 make_row(seq=9, ts=10**30), make_row(seq=9, profile="p\u00e9")],
-                         ids=["ts", "recv", "overflow", "non-ascii"])
-def test_unencodable_row_leaves_every_partition_unchanged(store, bad):
+                                 make_row(seq=9, ts=10**30), make_row(seq=9, profile="p\u00e9")]
+                         + [make_row(seq=9, profile=p) for p in ("", ".", "..", "a/b", "../p1", "p\x00")],
+                         ids=["ts", "recv", "overflow", "non-ascii",
+                              "empty", "dot", "dotdot", "slash", "parent-path", "nul"])
+def test_unencodable_row_leaves_every_partition_unchanged(tmp_path, store, bad):
     store.append_rows([make_row(seq=1), make_row(seq=1, profile="p2")])
-    before = _tree(store.root)
+    before = _tree(tmp_path)
     batch = [make_row(seq=2), make_row(seq=1, profile="p3"), bad,
              make_row(seq=3, ts=T0 + 86400)]
     with pytest.raises((ValueError, OverflowError)):
         store.append_rows(batch)
-    assert _tree(store.root) == before
+    assert _tree(tmp_path) == before
     store.append_rows([make_row(seq=2)])
     assert [r.seq for r in store.query(profile_id="p1")] == [1, 2]
 
