@@ -127,11 +127,13 @@ def serve(listen_addr: tuple[str, int], store: Store, site: str = "site") -> Gat
 class GatewayClient:
     """Single-connection sequential publisher with at-least-once retry.
 
-    Readings queue in ``buffer`` and go out front-first, so each stream
+    Each reading's PUB is rendered once, by ``publish``, and its line
+    queues in ``buffer``; the queue goes out front-first, so each stream
     reaches the gateway in seq order. On transport failure the client
     reconnects with exponential backoff (base 1 s, cap 60 s by default);
-    unsent readings wait for the next ``publish``. A full queue
-    (BUFFER_MAX) drops its oldest reading (counted, never raising).
+    unsent readings wait for the next ``publish``, which resends their
+    lines as rendered. A full queue (BUFFER_MAX) drops its oldest reading
+    (counted, never raising).
     """
 
     def __init__(
@@ -162,7 +164,7 @@ class GatewayClient:
         sock.settimeout(self.ack_timeout_s)
         self._sock = sock
         self._rfile = sock.makefile("rb")
-        self._send(Hello(self.node_id, PROTO_VERSION))
+        self._send(render_frame(Hello(self.node_id, PROTO_VERSION)))
         reply = self._recv()
         if not isinstance(reply, Ack):
             raise TransportClosed(f"handshake rejected: {reply!r}")
@@ -181,11 +183,11 @@ class GatewayClient:
                 pass
             self._sock = None
 
-    def _send(self, frame: Frame) -> None:
+    def _send(self, data: bytes) -> None:
         if self._sock is None:
             raise TransportClosed("not connected")
         try:
-            self._sock.sendall(render_frame(frame))
+            self._sock.sendall(data)
         except OSError as e:
             raise TransportClosed(str(e)) from e
 
@@ -198,12 +200,8 @@ class GatewayClient:
             raise TransportClosed("connection closed by gateway")
         return parse_frame(line)
 
-    def _pub(self, reading: RawReading) -> Pub:
-        topic = Topic(self.site, reading.profile_id, reading.depth_cm, reading.channel)
-        return Pub(topic, reading.seq, reading.timestamp, reading.value)
-
-    def _publish_once(self, reading: RawReading) -> str:
-        self._send(self._pub(reading))
+    def _publish_once(self, line: bytes) -> str:
+        self._send(line)
         reply = self._recv()
         if isinstance(reply, Ack):
             return "acknowledged"
@@ -217,14 +215,15 @@ class GatewayClient:
         """Queue one reading, then send the queue front-first; returns this
         reading's status: acknowledged | rejected | buffered. A reading no
         PUB can carry is rejected at once, never queued."""
+        topic = Topic(self.site, reading.profile_id, reading.depth_cm, reading.channel)
         try:
-            render_frame(self._pub(reading))
+            line = render_frame(Pub(topic, reading.seq, reading.timestamp, reading.value))
         except ValueError:
             self.counters["rejected"] += 1
             return "rejected"
         if len(self.buffer) == self.buffer.maxlen:
             self.counters["dropped_overflow"] += 1
-        self.buffer.append(reading)
+        self.buffer.append(line)
         for attempt in range(self.max_attempts):
             try:
                 if self._sock is None:

@@ -12,6 +12,7 @@ Topics are MQTT-style paths: site/{site}/profile/{p}/depth/{cm}/{moisture|temper
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -63,8 +64,14 @@ class Topic:
             f"/depth/{self.depth_cm}/{self.channel.value}"
         )
 
-    @classmethod
-    def parse(cls, s: str) -> "Topic":
+    # One cache per gateway process. It assumes a gateway sees at most 1024
+    # distinct topics (8 per profile, so 128 profiles); past that, topics
+    # interleaved round-robin would miss every time. Topic is frozen, so
+    # the cached instance can be shared; a raised Malformed is not cached,
+    # so a bad topic is checked again each time.
+    @staticmethod
+    @functools.lru_cache(maxsize=1024)
+    def parse(s: str) -> "Topic":
         parts = s.split("/")
         if len(parts) != 7 or parts[0] != "site" or parts[2] != "profile" or parts[4] != "depth":
             raise Malformed(f"topic: {_quote(s)}")
@@ -77,7 +84,7 @@ class Topic:
             channel = Channel(chan_s)
         except ValueError:
             raise Malformed(f"topic channel: {_quote(chan_s)}") from None
-        return cls(site, profile_id, int(depth_s), channel)
+        return Topic(site, profile_id, int(depth_s), channel)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,9 @@ def _utc_date(day: int) -> str:
     return datetime.fromtimestamp(day * DAY_S, tz=timezone.utc).strftime("%Y-%m-%d")
 
 
+# Rows come in runs that share a second: the 8 streams of one node tick,
+# the gateway's receive second, an export's rows in time order.
+@functools.lru_cache(maxsize=1024)
 def iso_utc(ts: int) -> str:
     """``ts`` as YYYY-MM-DDTHH:MM:SSZ (UTC), the strftime form."""
     day, s = divmod(ts, DAY_S)
@@ -165,8 +168,9 @@ class Store:
 
     def __init__(self, root: str):
         self.root = root
-        # Partition path per (profile, day since the epoch).
-        self._paths: dict[tuple[str, int], str] = {}
+        # Per (profile, day since the epoch): the partition path and the
+        # profile id as a CSV field.
+        self._paths: dict[tuple[str, int], tuple[str, str]] = {}
         # Partitions this instance has opened, each with its writer lock.
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
@@ -202,15 +206,21 @@ class Store:
             batch.append(_row_values(row))
         encoded = []
         for key, batch in batches.items():
-            path = self._paths.get(key)
-            if path is None:
-                if key[0] in ("", ".", "..") or "/" in key[0] or "\0" in key[0]:
-                    raise ValueError(f"profile id {key[0]!r} is not a directory name")
-                path = self._paths[key] = os.path.join(self.root, key[0],
-                                                       f"{_utc_date(key[1])}.csv")
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(batch)
-            encoded.append((path, buf.getvalue().encode("ascii")))
+            partition = self._paths.get(key)
+            if partition is None:
+                pid = key[0]
+                if pid in ("", ".", "..") or "/" in pid or "\0" in pid:
+                    raise ValueError(f"profile id {pid!r} is not a directory name")
+                # csv.writer quotes a field that holds ',', '"' or '\n'.
+                field = '"' + pid.replace('"', '""') + '"' if any(c in pid for c in ',"\n') else pid
+                partition = self._paths[key] = (
+                    os.path.join(self.root, pid, f"{_utc_date(key[1])}.csv"), field)
+            path, pid_field = partition
+            # The profile id is the one field csv.writer could quote; the
+            # others are dates, numbers and channel names.
+            text = "".join([f"{ts},{recv},{pid_field},{depth},{chan},{seq},{value},{vwc}\n"
+                            for ts, recv, _, depth, chan, seq, value, vwc in batch])
+            encoded.append((path, text.encode("ascii")))
         for path, data in encoded:
             with self._lock_for(path):
                 try:

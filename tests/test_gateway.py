@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from soilnet import gateway as gateway_module
 from soilnet.core import FIELD_CALIBRATION, Channel, RawReading
 from soilnet.gateway import BindFailure, Gateway, GatewayClient, TransportClosed, serve
-from soilnet.protocol import MAX_FRAME_BYTES, PROTO_VERSION, Ack, Err, Pub, Topic, render_frame
+from soilnet.protocol import (MAX_FRAME_BYTES, PROTO_VERSION, Ack, Err, Pub, Topic, parse_frame,
+                              render_frame)
 from soilnet.sim import ProfileConfig, default_field_model, run_node, step, tick_times
 from soilnet.store import Store, StoredRow, export_csv
 
@@ -187,7 +188,7 @@ class InProcessClient(GatewayClient):
         self.gw = gw
         self.faults = iter(faults)
         self.reachable = True
-        self.sent = []  # every PUB the gateway was handed, in order
+        self.sent = []  # every PUB line the gateway was handed, in order
         self._reply = None
 
     def connect(self):
@@ -198,18 +199,18 @@ class InProcessClient(GatewayClient):
     def close(self):
         self._sock = None
 
-    def _send(self, frame):
-        self.sent.append(frame)
-        self._reply = self.gw.handle_line(render_frame(frame))
+    def _send(self, data):
+        self.sent.append(data)
+        self._reply = self.gw.handle_line(data)
 
     def _recv(self):
         return self._reply
 
-    def _publish_once(self, r):
+    def _publish_once(self, line):
         fault = next(self.faults, None)
         if fault == "pub_lost":
             raise TransportClosed("PUB lost")
-        status = super()._publish_once(r)
+        status = super()._publish_once(line)
         if fault == "ack_lost":
             raise TransportClosed("ACK lost")
         return status
@@ -253,11 +254,33 @@ class TestClientQueue:
         assert (client.counters["rejected"], client.counters["acked"]) == (1, 1)
         assert client.counters["retries"] == 0
 
+    def test_each_reading_is_rendered_once_and_resent_as_rendered(self, tmp_path, monkeypatch):
+        gw = Gateway(("127.0.0.1", 0), Store(str(tmp_path / "data")), site="s")
+        try:
+            # A refused connect, then the PUB reaches the gateway but its ACK
+            # is lost, so the reading goes out twice.
+            client = InProcessClient(gw, faults=["ack_lost"])
+            client.reachable = False
+            monkeypatch.setattr(time, "sleep", lambda s: setattr(client, "reachable", True))
+            with mock.patch.object(gateway_module, "render_frame",
+                                   wraps=render_frame) as render:
+                assert client.publish(reading(seq=1)) == "acknowledged"
+            counters = gw.counters()
+        finally:
+            gw.server_close()
+        assert render.call_count == 1
+        r = reading(seq=1)
+        line = render_frame(Pub(Topic("s", r.profile_id, r.depth_cm, r.channel),
+                                r.seq, r.timestamp, r.value))
+        assert client.sent == [line, line]
+        assert (counters["accepted"], counters["duplicate"]) == (1, 1)
+        assert client.counters["retries"] == 2
+
     def test_full_buffer_drops_and_counts_its_oldest(self, monkeypatch):
         monkeypatch.setattr(gateway_module, "BUFFER_MAX", 2)
         client = GatewayClient(("127.0.0.1", 1), node_id="n1", site="s", max_attempts=1)
         assert [client.publish(reading(seq=seq)) for seq in (1, 2, 3)] == ["buffered"] * 3
-        assert [r.seq for r in client.buffer] == [2, 3]
+        assert [parse_frame(line).seq for line in client.buffer] == [2, 3]
         assert client.counters["dropped_overflow"] == 1
 
     @settings(max_examples=100, deadline=None)
@@ -279,14 +302,14 @@ class TestClientQueue:
             finally:
                 gw.server_close()
         seen = {}
-        for pub in client.sent:
+        for pub in map(parse_frame, client.sent):
             seen.setdefault(pub.topic.depth_cm, []).append(pub.seq)
         for seqs in seen.values():
             assert seqs == sorted(seqs)
         stored_keys = [(r.depth_cm, r.seq) for r in stored]
         assert len(set(stored_keys)) == len(stored_keys)
         unaccounted = {(r.depth_cm, r.seq) for r in published} - set(stored_keys) - {
-            (r.depth_cm, r.seq) for r in client.buffer}
+            (pub.topic.depth_cm, pub.seq) for pub in map(parse_frame, client.buffer)}
         dropped = client.counters["dropped_overflow"]
         assert len(unaccounted) <= dropped
         sent_once = len(published) - len(client.buffer) - dropped

@@ -78,6 +78,11 @@ class TestTopic:
         with pytest.raises(Malformed):
             Topic.parse(bad)
 
+    def test_parse_cache_is_bounded_and_returns_equal_topics(self):
+        s = "site/farm/profile/p1/depth/5/moisture"
+        assert Topic.parse(s) == Topic.parse(s) == Topic("farm", "p1", 5, Channel.MOISTURE_VOLTAGE)
+        assert Topic.parse.cache_info().maxsize is not None
+
     def test_render_rejects_bad_segment(self):
         with pytest.raises(Malformed):
             Topic("a/b", "p1", 5, Channel.MOISTURE_VOLTAGE).render()
@@ -201,6 +206,14 @@ class TestClassifyLine:
         verdict, reply = classify_line(state, b"PUB junk\n", pytest.fail)
         assert verdict is Verdict.MALFORMED and reply.code == "malformed" and reply.message
         assert state.malformed == 1 and state.counters_consistent()
+
+    def test_malformed_topic_sent_twice_is_answered_and_counted_twice(self):
+        # A failed Topic.parse is not cached, so the repeat is checked again.
+        state = GatewayState("s")
+        line = b"PUB site/s/profile/p1/depth/0/moisture 1 1700000000 1.3\n"
+        replies = [classify_line(state, line, pytest.fail) for _ in range(2)]
+        assert replies == [(Verdict.MALFORMED, Err("malformed", "topic depth: '0'"))] * 2
+        assert (state.malformed, state.pub_total) == (2, 2) and state.counters_consistent()
 
     def test_non_pub_garbage_not_counted(self):
         state = GatewayState("s")

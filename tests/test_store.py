@@ -281,7 +281,7 @@ HEADER = (",".join(EXPORT_FIELDS) + "\n").encode()
 
 # Profile ids that need CSV quoting; floats whose repr and CSV forms are
 # easy to get wrong.
-csv_profiles = st.sampled_from(["p1", "p2", "a,b", 'q"r', 'x", y'])
+csv_profiles = st.sampled_from(["p1", "p2", "a,b", 'q"r', 'x", y', "e\nf"])
 tricky_floats = st.sampled_from([0.0, -0.0, 3.0, -7.0, 1e16, 1e22, 1.7976931348623157e308,
                                  -1.7976931348623157e308, 5e-324, 2.2250738585072014e-308,
                                  1 / 3, float("inf"), float("nan")]) | st.floats()
@@ -316,11 +316,13 @@ def test_append_rows_writes_the_naive_lines_in_order(fields, data):
         path = os.path.join(row.profile_id, f"{day}.csv")
         expected[path] = expected.get(path, HEADER) + naive_csv_line(row)
     expected.update({p: None for p in {r.profile_id for r in rows}})
-    with tempfile.TemporaryDirectory() as root:
-        store = Store(root)
-        for batch in batches:
-            store.append_rows(iter(batch))
-        assert _tree(root) == expected
+    # As cut, then every row its own one-row batch, as the gateway appends.
+    for batching in (batches, [[row] for row in rows]):
+        with tempfile.TemporaryDirectory() as root:
+            store = Store(root)
+            for batch in batching:
+                store.append_rows(iter(batch))
+            assert _tree(root) == expected
 
 
 # A profile id names the partition's directory: "" or "." would put a
