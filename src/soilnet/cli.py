@@ -173,6 +173,10 @@ def cmd_simulate(args) -> int:
                     for t_s in day_ticks
                     for reading in sim.step(prof, fieldm, cal, t_s, start_ts)
                 ])
+        try:
+            store.checkpoint()
+        except OSError as e:  # a cache: the rows are stored without it
+            print(f"checkpoint not saved: {type(e).__name__}: {e}", file=sys.stderr)
         print(f"offline run complete: {len(profiles)} profile(s)", file=sys.stderr)
         return EXIT_OK
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import collections
 import socket
 import socketserver
+import sys
 import threading
 import time
 
@@ -83,6 +84,19 @@ class Gateway(socketserver.ThreadingTCPServer):
             super().__init__(listen_addr, _Handler)
         except OSError as e:
             raise BindFailure(str(e)) from e
+
+    def server_close(self) -> None:
+        """Save the store's checkpoint (see soilnet.store), so the next
+        start need not read what this gateway appended, then close the
+        socket. A checkpoint that cannot be saved is reported on stderr;
+        the gateway stops all the same."""
+        try:
+            with self._state_lock:
+                self.store.checkpoint()
+        except OSError as e:
+            print(f"checkpoint not saved: {type(e).__name__}: {e}", file=sys.stderr)
+        finally:
+            super().server_close()
 
     @property
     def bound_addr(self) -> tuple[str, int]:

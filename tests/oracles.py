@@ -7,6 +7,7 @@ elimination) and shares no code with the package under test.
 import csv
 import io
 import math
+import os
 import random
 from datetime import datetime, timezone
 
@@ -179,4 +180,31 @@ def naive_last_seqs(rows):
     for r in rows:
         key = (r.profile_id, r.depth_cm, r.channel.value)
         out[key] = max(out.get(key, 0), r.seq)
+    return out
+
+
+def naive_store_last_seqs(root):
+    """Highest seq per (profile, depth, channel value) among the rows of
+    every partition file under ``root`` ({root}/{profile}/*.csv), each
+    read whole with csv.DictReader; a final line without its newline (a
+    torn write) is no row."""
+    out = {}
+    if not os.path.isdir(root):
+        return out
+    for profile in sorted(os.listdir(root)):
+        pdir = os.path.join(root, profile)
+        if not os.path.isdir(pdir):
+            continue
+        for name in sorted(os.listdir(pdir)):
+            if not name.endswith(".csv"):
+                continue
+            with open(os.path.join(pdir, name), newline="", encoding="ascii") as f:
+                lines = f.read().split("\n")
+            complete = "\n".join(lines[:-1])  # the part after the last newline is torn or empty
+            for rec in csv.DictReader(io.StringIO(complete)):
+                # Two rows run together (an append after a torn line that
+                # was not cut) read as one row with too many fields.
+                assert None not in rec, f"{profile}/{name}: a row longer than its header"
+                key = (rec["profile"], int(rec["depth_cm"]), rec["channel"])
+                out[key] = max(out.get(key, 0), int(rec["seq"]))
     return out

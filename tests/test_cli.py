@@ -18,6 +18,8 @@ from soilnet.core import FIELD_CALIBRATION
 from soilnet.gateway import serve
 from soilnet.store import Store, export_csv, iso_utc, rows_with_vwc
 
+from oracles import naive_store_last_seqs
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TABLE_VOLT_VWC = [
@@ -116,8 +118,16 @@ class TestSimulateOffline:
             "simulate", "--offline", "--data-root", str(root), "--nodes", "2",
             "--duration", "2d", "--seed", "7", "--start", "2024-01-04T06:00:00Z",
         ]) == 0
+        # The checkpoint holds inode numbers and mtimes, so its bytes are not
+        # pinned: the gateway's next start must read it and no partition.
+        files = {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
         got = {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in root.rglob("*") if p.is_file()}
+               for p in root.rglob("*.csv")}
+        assert files == set(got) | {"last_seqs.json"}
+        checkpoint = os.stat(root / "last_seqs.json")
+        assert Store(str(root)).last_seqs() == naive_store_last_seqs(str(root))
+        after = os.stat(root / "last_seqs.json")
+        assert (after.st_ino, after.st_mtime_ns) == (checkpoint.st_ino, checkpoint.st_mtime_ns)
         assert got == {
             "p1/2024-01-04.csv": "5fb90f7ffd7768b17ad104696383d0f391988e3a2c2c6c4d4025b6a155ff572d",
             "p1/2024-01-05.csv": "937a991b582fb6e53b83ff2c3019c0881231045755c0d9fa669b9c4463b5b998",

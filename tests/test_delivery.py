@@ -1,20 +1,25 @@
 """Model-based test of the gateway's delivery contract.
 
 A Hypothesis state machine drives one Gateway and its Store through
-``handle_line``, as nodes would, with restarts, torn writes and failing
-appends in between. It keeps a model of the replies, the counters and
-the rows that must be stored, and checks after every step that:
+``handle_line``, as nodes would, with restarts (a clean stop saves the
+store's last_seqs checkpoint, a crash does not), torn writes, failing
+appends and a checkpoint that is deleted or corrupt in between. It keeps
+a model of the replies, the counters and the rows that must be stored,
+and checks after every step that:
 
 - the counters match the model and the conservation identity holds;
 - every reading ACKed as new is stored exactly once, and nothing else is;
 - ``Store.last_seqs()`` equals a naive max over ``Store.query()``;
 
 and, at each restart, that replaying every ACKed frame appends nothing.
+The checkpoint that the last_seqs check may rewrite is put back after
+it, so a restart sees the one the gateways left.
 """
 
 import collections
 import os
 import shutil
+import socketserver
 import tempfile
 
 from hypothesis import settings, strategies as st
@@ -23,9 +28,10 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 from soilnet.core import Channel
 from soilnet.gateway import Gateway
 from soilnet.protocol import Ack, Err, Pub, Topic, render_frame
-from soilnet.store import Store, StoredRow, iso_utc
+from soilnet.store import CHECKPOINT, Store, StoredRow, iso_utc
 
 from oracles import naive_last_seqs
+from test_checkpoint import put, read_or_none, spoil
 from test_gateway import FailingStore
 
 SITE = "A"
@@ -72,11 +78,17 @@ class DeliveryMachine(RuleBasedStateMachine):
         self.acked_lines = []  # every PUB line ACKed: what a node would replay
         self.start()
 
-    def start(self):
-        if self.gw is not None:
+    def start(self, crash=False):
+        if crash:  # the socket closes, and the store's checkpoint is not saved
+            socketserver.TCPServer.server_close(self.gw)
+        elif self.gw is not None:
             self.gw.server_close()
         self.gw = Gateway(("127.0.0.1", 0), FailingStore(self.root, failures=0), site=SITE)
         self.counts = collections.Counter()
+
+    @property
+    def checkpoint_path(self):
+        return os.path.join(self.root, CHECKPOINT)
 
     def teardown(self):
         self.gw.server_close()
@@ -140,13 +152,31 @@ class DeliveryMachine(RuleBasedStateMachine):
         reply = self.send(pub_line(stream, self.next_seq(stream, gap), IN_RANGE[stream[2]]), None)
         assert isinstance(reply, Err) and reply.code == "store"
 
+    def restart_and_replay(self, crash):
+        self.start(crash)
+        before = self.files()
+        # Not through send: a replayed line joins acked_lines once only.
+        for line in self.acked_lines:
+            assert isinstance(self.gw.handle_line(line), Ack)
+            self.counts["duplicate"] += 1
+        assert self.files() == before
+
     @rule()
     def restart(self):
-        self.start()
-        before = self.files()
-        for line in list(self.acked_lines):
-            assert isinstance(self.send(line, "duplicate"), Ack)
-        assert self.files() == before
+        self.restart_and_replay(crash=False)
+
+    @rule()
+    def crash_restart(self):
+        self.restart_and_replay(crash=True)
+
+    @rule()
+    def delete_checkpoint(self):
+        put(self.checkpoint_path, None)
+
+    @rule(kind=st.sampled_from(["truncate", "digit", "junk"]), at=st.integers(0, 10**6),
+          step=st.integers(1, 9))
+    def corrupt_checkpoint(self, kind, at, step):
+        put(self.checkpoint_path, spoil(read_or_none(self.checkpoint_path) or b"", kind, at, step))
 
     @rule(stream=st.sampled_from(STREAMS), gap=st.integers(1, 3))
     def torn_write(self, stream, gap):
@@ -176,7 +206,10 @@ class DeliveryMachine(RuleBasedStateMachine):
                      for r in rows)
         want = sorted((key, value, T0 + 900 * key[1]) for key, value in self.stored.items())
         assert got == want
+        before = read_or_none(self.checkpoint_path)
         assert Store(self.root).last_seqs() == naive_last_seqs(rows)
+        if read_or_none(self.checkpoint_path) != before:
+            put(self.checkpoint_path, before)
 
 
 DeliveryMachine.TestCase.settings = settings(max_examples=150, stateful_step_count=40,

@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import random
 import socket
 import tempfile
@@ -10,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soilnet import gateway as gateway_module
+from soilnet import gateway as gateway_module, store as store_module
 from soilnet.core import FIELD_CALIBRATION, Channel, RawReading
 from soilnet.gateway import BindFailure, Gateway, GatewayClient, TransportClosed, serve
 from soilnet.protocol import (MAX_FRAME_BYTES, PROTO_VERSION, Ack, Err, Pub, Topic, parse_frame,
@@ -367,6 +368,54 @@ class TestStoreFailure:
         finally:
             gw.server_close()
         assert [r.seq for r in gw.store.query()] == [3, 4, 5]
+
+    def test_half_written_row_is_cut_before_the_retry(self, tmp_path):
+        # The disk fills up in the middle of a row: ERR store, then the
+        # node's retry must not be appended to the torn half.
+        def write_half(fd, data):
+            os.write(fd, data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        root = str(tmp_path / "data")
+        gw = Gateway(("127.0.0.1", 0), Store(root), site="s")
+        topic = "site/s/profile/p1/depth/5/moisture"
+        try:
+            assert gw.handle_line(f"PUB {topic} 1 {T0} 1.3\n".encode()) == Ack(1)
+            with mock.patch.object(store_module, "_write_all", write_half):
+                reply = gw.handle_line(f"PUB {topic} 2 {T0 + 900} 1.3\n".encode())
+            assert isinstance(reply, Err) and reply.code == "store"
+            assert gw.handle_line(f"PUB {topic} 2 {T0 + 900} 1.3\n".encode()) == Ack(2)
+        finally:
+            gw.server_close()
+        (path,) = (tmp_path / "data" / "p1").glob("*.csv")
+        assert path.read_bytes() == export_csv(Store(root).query())
+        assert [r.seq for r in Store(root).query()] == [1, 2]
+
+
+class TestCheckpointOnStop:
+    def test_stop_saves_what_the_next_start_reads(self, tmp_path):
+        root = str(tmp_path / "data")
+        gw = Gateway(("127.0.0.1", 0), Store(root), site="s")
+        topic = "site/s/profile/p1/depth/5/moisture"
+        try:
+            for seq in (1, 2, 3):
+                assert gw.handle_line(f"PUB {topic} {seq} {T0 + 900 * seq} 1.3\n".encode()) == Ack(seq)
+        finally:
+            gw.server_close()
+        # The next gateway starts from the checkpoint and reads no partition.
+        with mock.patch.object(store_module, "_read_covered", side_effect=AssertionError):
+            gw = Gateway(("127.0.0.1", 0), Store(root), site="s")
+        try:
+            assert gw.state.last_seen == {("p1", 5, "moisture"): 3}
+        finally:
+            gw.server_close()
+
+    def test_unsaved_checkpoint_is_reported_and_the_gateway_stops(self, tmp_path, capsys):
+        gw = Gateway(("127.0.0.1", 0), Store(str(tmp_path / "data")), site="s")
+        with mock.patch.object(gw.store, "checkpoint", side_effect=OSError(28, "No space left")):
+            gw.server_close()
+        assert capsys.readouterr().err == "checkpoint not saved: OSError: [Errno 28] No space left\n"
+        assert gw.socket.fileno() == -1
 
 
 class TestSessionReplay:
