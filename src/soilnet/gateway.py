@@ -34,6 +34,7 @@ from soilnet.store import Store, StoredRow
 
 DEFAULT_PORT = 1884  # 1883-adjacent; real MQTT brokers own 1883
 BUFFER_MAX = 10000  # readings a GatewayClient queues; beyond it the oldest is dropped
+CHECKPOINT_INTERVAL_S = 60.0  # a running gateway saves the store's checkpoint this often
 
 
 class BindFailure(OSError):
@@ -80,10 +81,18 @@ class Gateway(socketserver.ThreadingTCPServer):
         # channel's value, are the keys validate_and_order looks up.
         self.state = GatewayState(site, store.last_seqs())
         self._state_lock = threading.Lock()
+        self._saved_at = time.monotonic()
         try:
             super().__init__(listen_addr, _Handler)
         except OSError as e:
             raise BindFailure(str(e)) from e
+
+    def service_actions(self) -> None:
+        """Run by serve_forever on every poll: save the checkpoint every
+        CHECKPOINT_INTERVAL_S, so that after a crash the next start reads
+        at most that long's appends."""
+        if time.monotonic() - self._saved_at >= CHECKPOINT_INTERVAL_S:
+            self._save_checkpoint()
 
     def server_close(self) -> None:
         """Save the store's checkpoint (see soilnet.store), so the next
@@ -91,12 +100,17 @@ class Gateway(socketserver.ThreadingTCPServer):
         socket. A checkpoint that cannot be saved is reported on stderr;
         the gateway stops all the same."""
         try:
+            self._save_checkpoint()
+        finally:
+            super().server_close()
+
+    def _save_checkpoint(self) -> None:
+        self._saved_at = time.monotonic()  # a failed save, too, waits for the next interval
+        try:
             with self._state_lock:
                 self.store.checkpoint()
         except OSError as e:
             print(f"checkpoint not saved: {type(e).__name__}: {e}", file=sys.stderr)
-        finally:
-            super().server_close()
 
     @property
     def bound_addr(self) -> tuple[str, int]:

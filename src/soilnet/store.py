@@ -9,9 +9,12 @@ day would bound nothing, since a buffered node can deliver rows days
 late. Stores written when partitions were keyed by receive day must be
 rebuilt: their windowed queries can miss rows whose two days differ.
 
-A final line without its newline is a torn write (a crash in mid-append):
-readers ignore it, and a Store's first append to the partition cuts it,
-as does its next append after a write to the partition failed.
+A final line without its newline is a torn write (a crash or a failed
+write in mid-append): readers ignore it, and every append cuts it off
+first, under an exclusive flock(2) on the partition that it holds until
+its write is done. flock locks conflict between open file descriptions,
+so writers in one process or in several may share a store on a local
+file system: a gateway and ``simulate --offline``, say.
 
 Checkpoint: {root}/last_seqs.json (no partition, as its name does not end
 in .csv) records, per partition, the bytes up to the last newline that
@@ -25,18 +28,19 @@ partitions instead of reading every row. The file is a cache, guarded by
 a crc32 of its own: a missing, stale, corrupt or foreign one costs a
 full read, never a wrong seq, and deleting it is always safe. Appending
 Stores keep their entries in memory; ``Store.checkpoint`` saves them
-(``simulate --offline`` at its end, the gateway when it stops), so the
-next start reads nothing. The validator assumes that every
-write gives the file a new mtime, as file systems with fine-grained
-timestamps do; where the clock is coarse, a partition deleted and
-rewritten to the same length within one tick of its last write goes
-unseen. Partitions are append-only: after editing one by hand, delete
-the checkpoint.
+(``simulate --offline`` at its end, the gateway every minute and when it
+stops), so the next start reads at most what came after the last save.
+The validator assumes that every write gives the file a new mtime, as
+file systems with fine-grained timestamps do; where the clock is coarse,
+a partition deleted and rewritten to the same length within one tick of
+its last write goes unseen. Partitions are append-only: after editing
+one by hand, delete the checkpoint.
 """
 
 from __future__ import annotations
 
 import csv
+import fcntl
 import functools
 import io
 import json
@@ -178,8 +182,9 @@ def _row_values(row: StoredRow) -> tuple:
 
 
 class Store:
-    """Append-only store. One serialized writer per partition, any number
-    of readers; queries only ever see fully appended rows.
+    """Append-only store. Any number of writers, in this process or
+    others, and of readers; each append holds an exclusive flock on its
+    partition, and queries only ever see fully appended rows.
 
     Durability: ``append_rows`` opens each partition file of its batch,
     hands that partition's rows to the operating system in one write() and
@@ -194,32 +199,10 @@ class Store:
         # Per (profile, day since the epoch): the partition path and the
         # profile id as a CSV field.
         self._paths: dict[tuple[str, int], tuple[str, str]] = {}
-        # Partitions this instance has opened, each with its writer lock.
-        self._locks: dict[str, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
         # Per partition path, its checkpoint entry as this instance knows it.
         self._covered: dict[str, _Covered] = {}
         self._dirty = False  # appended since the last save
         os.makedirs(root, exist_ok=True)
-
-    def _lock_for(self, path: str) -> threading.Lock:
-        """The partition's writer lock. The first call per path creates or
-        repairs the partition (``_create_partition``), so later appends
-        skip every existence check; it keeps the partition's entry only
-        if the entry covers the whole repaired file."""
-        lock = self._locks.get(path)
-        if lock is None:
-            with self._locks_guard:
-                lock = self._locks.get(path)
-                if lock is None:
-                    size = _create_partition(path)
-                    entry = self._covered.get(path)
-                    if size == len(_HEADER):  # no row yet (its bytes are checked at save)
-                        self._covered[path] = _Covered(size, _HEADER_CRC, {}, None)
-                    elif entry is not None and entry.size != size:
-                        del self._covered[path]
-                    lock = self._locks[path] = threading.Lock()
-        return lock
 
     def append(self, row: StoredRow) -> None:
         """Append one row (see the class docstring for durability)."""
@@ -230,7 +213,7 @@ class Store:
         per partition. Rows are encoded and profile ids checked before any byte
         is written, so a row that cannot be stored leaves every partition as it was.
         Each written partition's checkpoint entry is kept up to date in memory,
-        for ``checkpoint`` to save."""
+        for ``checkpoint`` to save, unless the size shows another writer's rows."""
         batches: dict[tuple[str, int], list[tuple]] = {}
         for row in rows:
             key = (row.profile_id, row.timestamp // DAY_S)
@@ -258,27 +241,25 @@ class Store:
                             for ts, recv, _, depth, chan, seq, value, vwc in batch])
             encoded.append((path, text.encode("ascii"), batch))
         for path, data, batch in encoded:
-            with self._lock_for(path):
-                try:
-                    try:
-                        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-                    except FileNotFoundError:  # removed since this instance created it
-                        self._covered.pop(path, None)
-                        _create_partition(path)
-                        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-                    try:
-                        _write_all(fd, data)
-                    finally:
-                        os.close(fd)
-                except OSError:
-                    # Part of the data may have reached the file: forget the
-                    # partition, so that the next append repairs it first
-                    # (and keeps its entry only if the cut file matches it).
-                    with self._locks_guard:
-                        del self._locks[path]
-                    raise
-                entry = self._covered.get(path)
-                if entry is not None:
+            try:
+                fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            except FileNotFoundError:  # the profile's first partition
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)  # until close: see the module docstring
+                size = os.lseek(fd, 0, os.SEEK_END)
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    size = os.pread(fd, size, 0).rfind(b"\n") + 1
+                    os.ftruncate(fd, size)
+                if size == 0:
+                    _write_all(fd, _HEADER)
+                    size = len(_HEADER)
+                entry = self._covered.pop(path, None)
+                if size == len(_HEADER):  # no row yet (its bytes are checked at save)
+                    entry = _Covered(size, _HEADER_CRC, {}, None)
+                _write_all(fd, data)
+                if entry is not None and entry.size == size:  # else another writer was here
                     entry.size += len(data)
                     entry.crc = zlib.crc32(data, entry.crc)
                     entry.stat = None
@@ -286,7 +267,10 @@ class Store:
                     for _, _, pid, depth, chan, seq, _, _ in batch:
                         if seq > seqs.get((pid, depth, chan), 0):
                             seqs[pid, depth, chan] = seq
+                    self._covered[path] = entry
                     self._dirty = True
+            finally:
+                os.close(fd)
 
     def profiles(self) -> list[str]:
         if not os.path.isdir(self.root):
@@ -543,27 +527,6 @@ _HEADER_CRC = zlib.crc32(_HEADER)
 def _write_all(fd: int, data: bytes) -> None:
     while data:
         data = data[os.write(fd, data):]
-
-
-def _create_partition(path: str) -> int:
-    """Make the partition's directory and file; cut a torn final line back
-    to the last newline, so the next row does not extend it; write the
-    header iff the file is then empty, so a partition another writer
-    created keeps its one. Returns the file's size. Assumes no other
-    process is in mid-append."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-    try:
-        size = os.lseek(fd, 0, os.SEEK_END)
-        if size and os.pread(fd, 1, size - 1) != b"\n":
-            size = os.pread(fd, size, 0).rfind(b"\n") + 1
-            os.ftruncate(fd, size)
-        if size == 0:
-            _write_all(fd, _HEADER)
-            size = len(_HEADER)
-    finally:
-        os.close(fd)
-    return size
 
 
 def export_csv(rows: list[StoredRow]) -> bytes:

@@ -3,6 +3,7 @@ import io
 import os
 import random
 import socket
+import socketserver
 import tempfile
 import threading
 import time
@@ -17,7 +18,7 @@ from soilnet.gateway import BindFailure, Gateway, GatewayClient, TransportClosed
 from soilnet.protocol import (MAX_FRAME_BYTES, PROTO_VERSION, Ack, Err, Pub, Topic, parse_frame,
                               render_frame)
 from soilnet.sim import ProfileConfig, default_field_model, run_node, step, tick_times
-from soilnet.store import Store, StoredRow, export_csv
+from soilnet.store import CHECKPOINT, Store, StoredRow, export_csv
 
 T0 = 1700000000
 
@@ -416,6 +417,52 @@ class TestCheckpointOnStop:
             gw.server_close()
         assert capsys.readouterr().err == "checkpoint not saved: OSError: [Errno 28] No space left\n"
         assert gw.socket.fileno() == -1
+
+
+class TestPeriodicCheckpoint:
+    """serve_forever runs service_actions on every poll; here it is called
+    by hand, on a clock that the test moves."""
+
+    @pytest.fixture
+    def clock(self):
+        now = [1000.0]
+        with mock.patch.object(gateway_module.time, "monotonic", lambda: now[0]):
+            yield now
+
+    def test_saved_after_the_interval_and_read_after_a_crash(self, tmp_path, clock):
+        root = str(tmp_path / "data")
+        gw = Gateway(("127.0.0.1", 0), Store(root), site="s")
+        topic = "site/s/profile/p1/depth/5/moisture"
+        try:
+            for seq in (1, 2):
+                assert gw.handle_line(f"PUB {topic} {seq} {T0 + 900 * seq} 1.3\n".encode()) == Ack(seq)
+            clock[0] += gateway_module.CHECKPOINT_INTERVAL_S - 0.5
+            gw.service_actions()
+            assert not os.path.exists(os.path.join(root, CHECKPOINT))
+            clock[0] += 0.5
+            gw.service_actions()
+            assert os.path.exists(os.path.join(root, CHECKPOINT))
+        finally:  # a crash: the socket closes, and nothing more is saved
+            socketserver.TCPServer.server_close(gw)
+        with mock.patch.object(store_module, "_read_covered", side_effect=AssertionError):
+            gw = Gateway(("127.0.0.1", 0), Store(root), site="s")
+        try:
+            assert gw.state.last_seen == {("p1", 5, "moisture"): 2}
+        finally:
+            gw.server_close()
+
+    def test_unsaved_checkpoint_is_reported_once_an_interval(self, tmp_path, clock, capsys):
+        gw = Gateway(("127.0.0.1", 0), Store(str(tmp_path / "data")), site="s")
+        try:
+            with mock.patch.object(gw.store, "checkpoint", side_effect=OSError(28, "No space left")):
+                clock[0] += gateway_module.CHECKPOINT_INTERVAL_S
+                gw.service_actions()
+                clock[0] += gateway_module.CHECKPOINT_INTERVAL_S - 0.5
+                gw.service_actions()
+                assert capsys.readouterr().err == (
+                    "checkpoint not saved: OSError: [Errno 28] No space left\n")
+        finally:
+            gw.server_close()
 
 
 class TestSessionReplay:

@@ -1,6 +1,8 @@
 import csv
+import errno
 import io
 import json
+import multiprocessing
 import os
 import random
 import shutil
@@ -212,6 +214,24 @@ class TestAppendQuery:
         later = make_row(seq=2, ts=T0 + 900)
         store.append(later)
         assert path.read_bytes() == export_csv(complete + [later])
+
+    def test_another_stores_half_written_row_is_cut(self, store):
+        # Two writers on one store, a gateway and an offline backfill, say:
+        # A's write fails half-way, then B, which has appended to the same
+        # partition before, appends again.
+        def write_half(fd, data):
+            os.write(fd, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        other = Store(store.root)
+        store.append(make_row(seq=1))
+        other.append(make_row(seq=2, ts=T0 + 1))
+        with mock.patch.object(store_module, "_write_all", write_half), pytest.raises(OSError):
+            store.append(make_row(seq=3, ts=T0 + 2))
+        other.append(make_row(seq=4, ts=T0 + 3))
+        assert [r.seq for r in Store(store.root).query()] == [1, 2, 4]
+        assert Store(store.root).last_seqs() == naive_store_last_seqs(store.root) == {
+            ("p1", 5, "moisture"): 4}
 
     def test_last_seqs(self, store):
         store.append(make_row(seq=3))
@@ -451,6 +471,47 @@ def test_unencodable_row_leaves_every_partition_unchanged(tmp_path, store, bad):
     assert _tree(tmp_path) == before
     store.append_rows([make_row(seq=2)])
     assert [r.seq for r in store.query(profile_id="p1")] == [1, 2]
+
+
+def _append_one_row_at_a_time(root, depth, count, barrier):
+    store = Store(root)
+    barrier.wait(timeout=60)
+    for seq in range(1, count + 1):
+        store.append(make_row(seq=seq, ts=T0 + seq, depth=depth))
+
+
+def test_two_processes_append_to_one_partition(tmp_path):
+    # Each append holds the partition's flock, which orders processes too:
+    # the partition gets one header and every row whole, once.
+    root = str(tmp_path / "data")
+    count = 2000
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    procs = [ctx.Process(target=_append_one_row_at_a_time, args=(root, depth, count, barrier))
+             for depth in (5, 50)]
+    for proc in procs:
+        proc.start()
+    try:
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            proc.close()
+    (path,) = (tmp_path / "data" / "p1").iterdir()
+    data = path.read_bytes()
+    assert data.startswith(HEADER) and data.endswith(b"\n")
+    lines = data[len(HEADER):].splitlines(keepends=True)
+    for depth in (5, 50):
+        expected = [naive_csv_line(make_row(seq=seq, ts=T0 + seq, depth=depth))
+                    for seq in range(1, count + 1)]
+        mine = set(expected)
+        assert [line for line in lines if line in mine] == expected
+    assert len(lines) == 2 * count
+    assert Store(root).last_seqs() == {("p1", 5, "moisture"): count, ("p1", 50, "moisture"): count}
 
 
 def test_partitions_removed_between_batches_are_recreated(store, tmp_path):
