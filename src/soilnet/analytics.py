@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-
-import numpy as np
+import math
+from bisect import bisect_left
+from dataclasses import dataclass
 
 from soilnet.core import Channel
 from soilnet.store import StoredRow, iso_utc
@@ -37,14 +37,17 @@ class NoOverlap(ValueError):
     pass
 
 
+def _mean(values) -> float:
+    return math.fsum(values) / len(values)
+
+
 def rmse(a, b) -> float:
     """Root of the mean squared difference between two equal-length series."""
     if len(a) != len(b):
         raise LengthMismatch(f"{len(a)} vs {len(b)}")
     if len(a) == 0:
         raise EmptySeries("rmse of empty series")
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(np.sqrt(np.mean(d * d)))
+    return math.dist(a, b) / math.sqrt(len(a))
 
 
 def pearson(a, b) -> float | None:
@@ -53,29 +56,27 @@ def pearson(a, b) -> float | None:
         raise LengthMismatch(f"{len(a)} vs {len(b)}")
     if len(a) < 2:
         raise EmptySeries("pearson needs length >= 2")
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
-    xd = x - x.mean()
-    yd = y - y.mean()
-    sx = float(np.sqrt(np.sum(xd * xd)))
-    sy = float(np.sqrt(np.sum(yd * yd)))
+    ma, mb = _mean(a), _mean(b)
+    sx = math.dist(a, [ma] * len(a))
+    sy = math.dist(b, [mb] * len(b))
     if sx == 0.0 or sy == 0.0:
         return None
-    return float(np.dot(xd, yd) / (sx * sy))
+    return math.fsum((x - ma) * (y - mb) for x, y in zip(a, b)) / (sx * sy)
 
 
 def sample_std(values) -> float | None:
     """Sample (n-1) standard deviation; None for n < 2."""
-    if len(values) < 2:
+    n = len(values)
+    if n < 2:
         return None
-    return float(np.std(np.asarray(values, dtype=float), ddof=1))
+    return math.dist(values, [_mean(values)] * n) / math.sqrt(n - 1)
 
 
 def coefficient_of_variation(values) -> float | None:
     std = sample_std(values)
     if std is None:
         return None
-    mean = float(np.mean(np.asarray(values, dtype=float)))
+    mean = _mean(values)
     if mean == 0.0:
         return None
     return std / mean
@@ -114,11 +115,11 @@ def summarize(rows: list[StoredRow]) -> Summary:
         by_channel.setdefault(row.channel, []).append(row.value)
         by_depth.setdefault((row.depth_cm, row.channel), []).append(row.value)
     extrema = {
-        ch: ChannelExtrema(min(vals), max(vals), float(np.mean(vals)))
+        ch: ChannelExtrema(min(vals), max(vals), _mean(vals))
         for ch, vals in by_channel.items()
     }
     depth_stats = [
-        DepthStats(d, ch, len(vals), float(np.mean(vals)),
+        DepthStats(d, ch, len(vals), _mean(vals),
                    sample_std(vals), coefficient_of_variation(vals))
         for (d, ch), vals in sorted(by_depth.items(),
                                     key=lambda kv: (kv[0][0], kv[0][1].value))
@@ -163,14 +164,18 @@ def align_nearest(
     tolerance_s: float,
 ) -> list[tuple[float, float]]:
     """Pair each reference point with the nearest-in-time sensor point
-    within ``tolerance_s``; unmatched reference points are dropped."""
+    within ``tolerance_s``; unmatched reference points are dropped. The
+    sensor series must be time-ordered; of equally near points, the
+    earliest wins."""
     if not sensor:
         return []
-    times = np.array([t for t, _ in sensor], dtype=float)
+    times = [t for t, _ in sensor]
     values = [v for _, v in sensor]
     pairs = []
     for rt, rv in reference:
-        i = int(np.argmin(np.abs(times - rt)))
+        i = bisect_left(times, rt)
+        if i == len(times) or (i and rt - times[i - 1] <= times[i] - rt):
+            i = bisect_left(times, times[i - 1], 0, i)
         if abs(times[i] - rt) <= tolerance_s:
             pairs.append((values[i], rv))
     return pairs

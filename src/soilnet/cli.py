@@ -18,6 +18,7 @@ import threading
 import time
 
 from soilnet import core, sim
+from soilnet.analytics import plot_series_csv, render_report, report_to_json, validation_report
 from soilnet.core import Channel
 from soilnet.gateway import DEFAULT_PORT, BindFailure, Gateway, GatewayClient
 from soilnet.store import (
@@ -212,13 +213,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    with open(args.pairs, newline="") as f:
-        reader = csv.reader(f)
-        pairs = []
-        for i, row in enumerate(reader):
-            if not row or (i == 0 and not _is_number(row[0])):
-                continue  # header or blank
-            pairs.append((float(row[0]), float(row[1])))
+    pairs = [(float(v), float(vwc)) for v, vwc in _read_csv_pairs(args.pairs, 0)]
     transform = core.Transform.RECIPROCAL if args.transform == "reciprocal" else core.Transform.IDENTITY
     try:
         model = core.fit_calibration(pairs, transform)
@@ -234,6 +229,24 @@ def cmd_calibrate(args) -> int:
     print(f"fit: rmse={model.fit_rmse:.4f} r2={model.fit_r2:.6f} n={model.n_points}",
           file=sys.stderr)
     return EXIT_OK
+
+
+def _read_csv_pairs(path: str, header_col: int) -> list[tuple[str, str]]:
+    """The first two fields of each row of a CSV file, without blank rows
+    and without a first row whose ``header_col`` field is no number (a
+    header). A row of one field raises ValueError naming its line."""
+    pairs = []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        for i, row in enumerate(reader):
+            if not row:
+                continue
+            if len(row) < 2:
+                raise ValueError(f"{path}, line {reader.line_num}: want 2 fields, got {len(row)}")
+            if i == 0 and not _is_number(row[header_col]):
+                continue
+            pairs.append((row[0], row[1]))
+    return pairs
 
 
 def _is_number(tok: str) -> bool:
@@ -267,25 +280,7 @@ def _write_out(data: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(data)
 
 
-def _read_reference_csv(path: str) -> list[tuple[int, float]]:
-    series = []
-    with open(path, newline="") as f:
-        for i, row in enumerate(csv.reader(f)):
-            if not row or (i == 0 and not _is_number(row[1])):
-                continue
-            series.append((parse_instant(row[0]), float(row[1])))
-    return series
-
-
 def cmd_report(args) -> int:
-    # Imported here: analytics loads numpy, which no other command needs.
-    from soilnet.analytics import (
-        plot_series_csv,
-        render_report,
-        report_to_json,
-        validation_report,
-    )
-
     store = Store(args.data_root)
     rows = _query_args(store, args)
     if not rows:
@@ -295,19 +290,22 @@ def cmd_report(args) -> int:
     rows = rows_with_vwc(rows, model)
 
     # Sensor VWC series for reference comparison: calibrated moisture at the
-    # shallowest depth present (gravimetric sampling is near-surface).
+    # shallowest depth present (gravimetric sampling is near-surface); a
+    # reading the model cannot map has no VWC and is left out.
     depth = min(r.depth_cm for r in rows if r.channel is Channel.MOISTURE_VOLTAGE)
     sensor_series = [
         (r.timestamp, r.vwc_percent)
         for r in rows
         if r.channel is Channel.MOISTURE_VOLTAGE and r.depth_cm == depth
+        and r.vwc_percent is not None
     ]
     references = []
     for spec_arg in args.reference or []:
         label, _, path = spec_arg.partition("=")
         if not path:
             raise UsageError(f"--reference wants label=path, got {spec_arg!r}")
-        references.append((label, _read_reference_csv(path)))
+        references.append((label, [(parse_instant(t), float(v))
+                                   for t, v in _read_csv_pairs(path, 1)]))
 
     report = validation_report(rows, sensor_series, references, cadence_s=args.cadence)
     sys.stdout.write(render_report(report))

@@ -7,6 +7,7 @@ All functions here are pure; no I/O, no shared state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -161,6 +162,10 @@ def apply_calibration(model: CalibrationModel, voltage: float) -> float:
     return model.a * x * x + model.b * x + model.c
 
 
+def _dot(p: list[float], q: list[float]) -> float:
+    return math.fsum(map(operator.mul, p, q))
+
+
 def fit_calibration(
     points: list[tuple[float, float]],
     transform: Transform = Transform.RECIPROCAL,
@@ -170,34 +175,38 @@ def fit_calibration(
     Solves the normal equations on a mean-centered design for conditioning.
     Requires at least 3 distinct transformed x values.
     """
-    import numpy as np  # here, not at module level: only fitting needs it
-
     if len(points) < 3:
         raise InsufficientPoints(f"need >= 3 points, got {len(points)}")
-    xs = np.array([_transform_voltage(transform, v) for v, _ in points], dtype=float)
-    ys = np.array([vwc for _, vwc in points], dtype=float)
-    if len(set(xs.tolist())) < 3:
+    xs = [_transform_voltage(transform, v) for v, _ in points]
+    ys = [vwc for _, vwc in points]
+    if len(set(xs)) < 3:
         raise InsufficientPoints("need >= 3 distinct transformed x values")
 
     # Center the x^2 and x columns; the intercept is recovered afterwards.
-    cols = np.column_stack([xs * xs, xs])
-    col_means = cols.mean(axis=0)
-    y_mean = ys.mean()
-    xc = cols - col_means
-    yc = ys - y_mean
-    gram = xc.T @ xc
-    rhs = xc.T @ yc
-    if np.linalg.cond(gram) > 1e12:
+    n = len(points)
+    u_mean = math.fsum(x * x for x in xs) / n
+    x_mean = math.fsum(xs) / n
+    y_mean = math.fsum(ys) / n
+    uc = [x * x - u_mean for x in xs]
+    xc = [x - x_mean for x in xs]
+    yc = [y - y_mean for y in ys]
+    suu, sux, sxx = _dot(uc, uc), _dot(uc, xc), _dot(xc, xc)
+    # The Gram matrix [[suu, sux], [sux, sxx]] is symmetric, so its 2-norm
+    # condition number is lmax / lmin = lmax**2 / det (lmin = det / lmax).
+    det = suu * sxx - sux * sux
+    lmax = (suu + sxx) / 2 + math.hypot((suu - sxx) / 2, sux)
+    if det <= 0 or lmax * lmax / det > 1e12:
         raise SingularSystem("design matrix is rank-deficient or near-singular")
-    ab = np.linalg.solve(gram, rhs)
-    a, b = float(ab[0]), float(ab[1])
-    c = float(y_mean - ab @ col_means)
+    suy, sxy = _dot(uc, yc), _dot(xc, yc)
+    a = (sxx * suy - sux * sxy) / det
+    b = (suu * sxy - sux * suy) / det
+    c = y_mean - a * u_mean - b * x_mean
 
-    pred = a * xs * xs + b * xs + c
-    resid = ys - pred
-    fit_rmse = float(np.sqrt(np.mean(resid**2)))
-    ss_tot = float(np.sum((ys - y_mean) ** 2))
-    fit_r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    resid = [y - (a * x * x + b * x + c) for x, y in zip(xs, ys)]
+    ss_res = _dot(resid, resid)
+    ss_tot = _dot(yc, yc)
+    fit_rmse = math.sqrt(ss_res / n)
+    fit_r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return CalibrationModel(
         a=a, b=b, c=c, transform=transform,
         fit_rmse=fit_rmse, fit_r2=fit_r2, n_points=len(points),

@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from operator import itemgetter
 
-from soilnet.core import CalibrationModel, Channel, RawReading, apply_calibration
+from soilnet.core import CalibrationModel, Channel, RawReading, ZeroVoltage, apply_calibration
 
 EXPORT_FIELDS = (
     "timestamp", "recv_timestamp", "profile", "depth_cm",
@@ -571,10 +571,15 @@ def export(rows: list[StoredRow], fmt: str) -> bytes:
 def rows_with_vwc(rows: list[StoredRow], model: CalibrationModel) -> list[StoredRow]:
     """Copy of ``rows`` with vwc_percent filled on moisture rows. This is
     the one place a model applies: the store holds raw readings and is
-    never rewritten, so a refit model reaches all stored history."""
+    never rewritten, so a refit model reaches all stored history. A
+    voltage the model cannot map (0 V under the reciprocal transform, a
+    reading the gateway accepts) keeps vwc_percent None."""
     out = []
     for row in rows:
         if row.channel is Channel.MOISTURE_VOLTAGE:
-            row = replace(row, vwc_percent=apply_calibration(model, row.value))
+            try:
+                row = replace(row, vwc_percent=apply_calibration(model, row.value))
+            except ZeroVoltage:
+                pass
         out.append(row)
     return out

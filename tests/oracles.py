@@ -50,6 +50,20 @@ def sort_extrema(values):
     return s[0], s[-1]
 
 
+def naive_align_nearest(sensor, reference, tolerance_s):
+    """Each reference point paired with the nearest sensor point, the
+    earliest of equally near ones (as ``numpy.argmin`` picks), when it is
+    within ``tolerance_s``. A linear scan per point; needs no ordering."""
+    t = [ts for ts, _ in sensor]
+    pairs = []
+    for rt, rv in reference:
+        if t:
+            i = min(range(len(t)), key=lambda i: abs(t[i] - rt))
+            if abs(t[i] - rt) <= tolerance_s:
+                pairs.append((sensor[i][1], rv))
+    return pairs
+
+
 def gauss_solve(a, b):
     """Solve a dense linear system by Gaussian elimination with partial
     pivoting. ``a`` is a list of row lists, ``b`` a list."""

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from soilnet.analytics import (
     Channel,
@@ -22,7 +23,8 @@ from soilnet.analytics import (
     validation_report,
 )
 from soilnet.store import StoredRow
-from oracles import naive_pearson, naive_rmse, naive_sample_std, sort_extrema
+from oracles import (naive_align_nearest, naive_pearson, naive_rmse, naive_sample_std,
+                     sort_extrema)
 
 T0 = 1700000000
 
@@ -198,6 +200,28 @@ class TestAlignment:
         sensor = [(T0, 1.0)]
         reference = [(T0 + 1000, 2.0)]
         assert align_nearest(sensor, reference, 450) == []
+
+    @given(st.data())
+    def test_matches_linear_scan_oracle(self, data):
+        # Few distinct times, so many duplicates; each value is its index,
+        # so a pair shows which of equally near points was taken.
+        times = sorted(data.draw(st.lists(st.integers(0, 30), max_size=20), label="times"))
+        sensor = [(T0 + t, float(i)) for i, t in enumerate(times)]
+        tolerance = data.draw(st.sampled_from([0, 1, 2.5, 4, 450]), label="tolerance")
+        anywhere = st.integers(-10, 40).map(lambda k: T0 + k)
+        if sensor:
+            last = len(sensor) - 1
+            index = st.integers(0, last)
+            # Exactly midway between neighbours, or at or just past the
+            # tolerance on either side of a point.
+            midway = index.map(lambda i: (sensor[i][0] + sensor[min(i + 1, last)][0]) / 2)
+            edge = st.builds(lambda i, side, past: sensor[i][0] + side * (tolerance + past),
+                             index, st.sampled_from([-1, 1]), st.sampled_from([0, 0.5, 1]))
+            anywhere = st.one_of(anywhere, midway, edge)
+        points = data.draw(st.lists(anywhere, max_size=10), label="reference")
+        reference = [(rt, -float(j)) for j, rt in enumerate(points)]
+        assert align_nearest(sensor, reference, tolerance) == naive_align_nearest(
+            sensor, reference, tolerance)
 
 
 class TestValidationReport:

@@ -15,7 +15,8 @@ import pytest
 
 from soilnet.cli import build_parser, main, parse_addr, parse_duration, parse_instant
 from soilnet.core import FIELD_CALIBRATION
-from soilnet.gateway import serve
+from soilnet.gateway import Gateway, serve
+from soilnet.protocol import Ack
 from soilnet.store import Store, export_csv, iso_utc, rows_with_vwc
 
 from oracles import naive_store_last_seqs
@@ -87,14 +88,34 @@ def offline_store(tmp_path):
     return root
 
 
-def test_gateway_and_simulator_import_no_numpy():
-    # numpy is for `calibrate` and `report` only; a gateway restart must not load it.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = ("import sys, soilnet.cli, soilnet.gateway, soilnet.sim, soilnet.store; "
-            "assert 'numpy' not in sys.modules, 'numpy imported'")
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+def test_no_command_needs_numpy(tmp_path):
+    # soilnet is stdlib only. With sys.modules["numpy"] = None any import
+    # of numpy raises, so each command below would fail if it needed it.
+    root, model = str(tmp_path / "data"), str(tmp_path / "model.json")
+    pairs, reference = tmp_path / "pairs.csv", tmp_path / "gravimetric.csv"
+    pairs.write_text("".join(f"{v},{vwc}\n" for v, vwc in TABLE_VOLT_VWC))
+    reference.write_text("".join(f"{1700000000 + 3600 * h},{30 + h}\n" for h in range(6)))
+    commands = [
+        ["simulate", "--offline", "--data-root", root, "--duration", "6h",
+         "--start", "1700000000"],
+        *(["export", "--data-root", root, "--format", fmt, "--out", str(tmp_path / f"out.{fmt}")]
+          for fmt in ("csv", "json", "xml")),
+        ["calibrate", "--pairs", str(pairs), "--out", model],
+        ["export", "--data-root", root, "--model", model, "--out", str(tmp_path / "vwc.csv")],
+        ["report", "--data-root", root, "--reference", f"gravimetric={reference}",
+         "--out-json", str(tmp_path / "report.json")],
+    ]
+    code = ("import json, sys; sys.modules['numpy'] = None; import soilnet.gateway; "
+            "from soilnet.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if main(argv) != 0: sys.exit(f'failed: {argv}')")
+    src = os.path.join(REPO, "src")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "report.json") as f:
+        assert json.load(f)["references"][0]["n_pairs"] == 6
 
 
 class TestSimulateOffline:
@@ -165,6 +186,12 @@ class TestCalibrate:
         pairs = self._pairs_csv(tmp_path, TABLE_VOLT_VWC[:2])
         assert run_cli(["calibrate", "--pairs", pairs]) == 2
         assert "InsufficientPoints" in capsys.readouterr().err
+
+    def test_one_field_row_exit_2_naming_its_line(self, tmp_path, capsys):
+        pairs = self._pairs_csv(tmp_path, [*TABLE_VOLT_VWC[:3], ("1.5",), *TABLE_VOLT_VWC[3:]])
+        assert run_cli(["calibrate", "--pairs", pairs]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {pairs}, line 5: want 2 fields, got 1\n")
 
 
 class TestExport:
@@ -253,6 +280,46 @@ class TestReport:
     def test_empty_range_exit_2(self, offline_store, capsys):
         assert run_cli(["report", "--data-root", offline_store,
                         "--start", "0", "--end", "1"]) == 2
+
+    def test_one_field_reference_row_exit_2_naming_its_line(self, offline_store, tmp_path,
+                                                            capsys):
+        ref_path = tmp_path / "gravimetric.csv"
+        ref_path.write_text("timestamp,vwc_percent\n1700000000,30.0\n1700000900\n")
+        assert run_cli(["report", "--data-root", offline_store,
+                        "--reference", f"gravimetric={ref_path}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {ref_path}, line 3: want 2 fields, got 1\n")
+
+    def test_stored_zero_volt_reading_leaves_report_and_export_working(
+            self, offline_store, tmp_path, capsys):
+        # The gateway accepts 0 V, the low end of the moisture range, but
+        # the reciprocal calibration cannot map it: that row gets no VWC.
+        gw = Gateway(("127.0.0.1", 0), Store(offline_store), site="site")
+        try:
+            line = b"PUB site/site/profile/p1/depth/5/moisture 26 1700000450 0.0\n"
+            assert gw.handle_line(line) == Ack(26)
+        finally:
+            gw.server_close()
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(FIELD_CALIBRATION.to_dict()))
+        out = str(tmp_path / "vwc.csv")
+        assert run_cli(["export", "--data-root", offline_store, "--model", str(model_path),
+                        "--out", out]) == 0
+        with open(out) as f:
+            moisture = [r for r in csv.DictReader(f) if r["channel"] == "moisture"]
+        assert [r["vwc_percent"] for r in moisture if r["value"] == "0.0"] == [""]
+        assert sum(r["vwc_percent"] != "" for r in moisture) == 2 * 4 * 25
+
+        ref_path = tmp_path / "gravimetric.csv"
+        ref_path.write_text("".join(f"{1700000000 + 900 * i},30.0\n" for i in range(25)))
+        out_json = str(tmp_path / "report.json")
+        assert run_cli(["report", "--data-root", offline_store, "--profile", "p1",
+                        "--reference", f"gravimetric={ref_path}", "--out-json", out_json]) == 0
+        assert "GRAVIMETRIC" in capsys.readouterr().out
+        with open(out_json) as f:
+            doc = json.load(f)
+        assert doc["references"][0]["n_pairs"] == 25
+        assert doc["extrema"]["moisture"]["min"] == 0.0
 
 
 class TestServePipeline:
