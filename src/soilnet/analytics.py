@@ -13,7 +13,6 @@ import io
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from soilnet.core import Channel
 from soilnet.store import StoredRow, iso_utc
@@ -50,25 +49,34 @@ def rmse(a, b) -> float:
     return math.dist(a, b) / math.sqrt(len(a))
 
 
+def _constant(values) -> bool:
+    # Exact, where deviations from an fsum mean can miss zero by an ulp;
+    # one count() pass costs a third of min() == max().
+    return values.count(values[0]) == len(values)
+
+
 def pearson(a, b) -> float | None:
     """Sample Pearson correlation; None when either series is constant."""
     if len(a) != len(b):
         raise LengthMismatch(f"{len(a)} vs {len(b)}")
     if len(a) < 2:
         raise EmptySeries("pearson needs length >= 2")
+    if _constant(a) or _constant(b):
+        return None
     ma, mb = _mean(a), _mean(b)
     sx = math.dist(a, [ma] * len(a))
     sy = math.dist(b, [mb] * len(b))
-    if sx == 0.0 or sy == 0.0:
-        return None
     return math.fsum((x - ma) * (y - mb) for x, y in zip(a, b)) / (sx * sy)
 
 
 def sample_std(values) -> float | None:
-    """Sample (n-1) standard deviation; None for n < 2."""
+    """Sample (n-1) standard deviation; None for n < 2, 0.0 for a
+    constant series."""
     n = len(values)
     if n < 2:
         return None
+    if _constant(values):
+        return 0.0
     return math.dist(values, [_mean(values)] * n) / math.sqrt(n - 1)
 
 
@@ -79,34 +87,12 @@ def coefficient_of_variation(values) -> float | None:
     mean = _mean(values)
     if mean == 0.0:
         return None
-    return std / mean
+    return std / mean if std else 0.0  # not -0.0 under a negative mean
 
 
-@dataclass(frozen=True)
-class ChannelExtrema:
-    minimum: float
-    maximum: float
-    mean: float
-
-
-@dataclass(frozen=True)
-class DepthStats:
-    depth_cm: int
-    channel: Channel
-    n: int
-    mean: float
-    std: float | None
-    cv: float | None
-
-
-@dataclass(frozen=True)
-class Summary:
-    extrema: dict[Channel, ChannelExtrema]
-    depth_stats: list[DepthStats]
-
-
-def summarize(rows: list[StoredRow]) -> Summary:
-    """Min/max/mean per channel plus per-(depth, channel) std and CV."""
+def summarize(rows: list[StoredRow]) -> dict:
+    """The report's ``extrema`` (min/max/mean per channel) and
+    ``depth_stats`` (n/mean/std/CV per depth and channel) entries."""
     if not rows:
         raise EmptySeries("summarize of no rows")
     by_channel: dict[Channel, list[float]] = {}
@@ -114,47 +100,35 @@ def summarize(rows: list[StoredRow]) -> Summary:
     for row in rows:
         by_channel.setdefault(row.channel, []).append(row.value)
         by_depth.setdefault((row.depth_cm, row.channel), []).append(row.value)
-    extrema = {
-        ch: ChannelExtrema(min(vals), max(vals), _mean(vals))
-        for ch, vals in by_channel.items()
+    return {
+        "extrema": {
+            ch.value: {"min": min(vals), "max": max(vals), "mean": _mean(vals)}
+            for ch, vals in sorted(by_channel.items(), key=lambda kv: kv[0].value)
+        },
+        "depth_stats": [
+            {"depth_cm": d, "channel": ch.value, "n": len(vals), "mean": _mean(vals),
+             "std": sample_std(vals), "cv": coefficient_of_variation(vals)}
+            for (d, ch), vals in sorted(by_depth.items(),
+                                        key=lambda kv: (kv[0][0], kv[0][1].value))
+        ],
     }
-    depth_stats = [
-        DepthStats(d, ch, len(vals), _mean(vals),
-                   sample_std(vals), coefficient_of_variation(vals))
-        for (d, ch), vals in sorted(by_depth.items(),
-                                    key=lambda kv: (kv[0][0], kv[0][1].value))
-    ]
-    return Summary(extrema=extrema, depth_stats=depth_stats)
 
 
-@dataclass(frozen=True)
-class LayerContrast:
-    channel: Channel
-    surface_std: float
-    subsurface_std: float
-
-    @property
-    def surface_more_variable(self) -> bool:
-        return self.surface_std > self.subsurface_std
-
-
-def layer_contrast(
-    rows: list[StoredRow], boundary_cm: int = SURFACE_BOUNDARY_CM
-) -> dict[Channel, LayerContrast]:
-    """Pooled sample std of surface (< boundary) vs subsurface (>= boundary)
-    values, per channel."""
+def layer_contrast(rows: list[StoredRow], boundary_cm: int = SURFACE_BOUNDARY_CM) -> dict:
+    """The report's ``layer_contrast`` entry: pooled sample std of surface
+    (< boundary) vs subsurface (>= boundary) values, per channel."""
     groups: dict[tuple[Channel, bool], list[float]] = {}
-    channels = set()
     for row in rows:
-        channels.add(row.channel)
         groups.setdefault((row.channel, row.depth_cm < boundary_cm), []).append(row.value)
     out = {}
-    for ch in sorted(channels, key=lambda c: c.value):
+    for ch in sorted({ch for ch, _ in groups}, key=lambda c: c.value):
         surface = groups.get((ch, True), [])
         subsurface = groups.get((ch, False), [])
         if len(surface) < 2 or len(subsurface) < 2:
             raise MissingLayer(f"{ch.value}: need data on both sides of {boundary_cm} cm")
-        out[ch] = LayerContrast(ch, sample_std(surface), sample_std(subsurface))
+        surface_std, subsurface_std = sample_std(surface), sample_std(subsurface)
+        out[ch.value] = {"surface_std": surface_std, "subsurface_std": subsurface_std,
+                         "surface_more_variable": surface_std > subsurface_std}
     return out
 
 
@@ -181,44 +155,33 @@ def align_nearest(
     return pairs
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
-    label: str
-    rmse: float
-    correlation: float | None
-    n_pairs: int
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    reference_rows: list[ReferenceRow]
-    summary: Summary
-    contrasts: dict[Channel, LayerContrast]
-    boundary_cm: int = SURFACE_BOUNDARY_CM
-    std_convention: str = "sample (n-1)"
-
-
 def validation_report(
     rows: list[StoredRow],
     sensor_series: list[tuple[int, float]],
     references: list[tuple[str, list[tuple[int, float]]]],
     cadence_s: int = 900,
-) -> ValidationReport:
-    """Compare a sensor series against labeled reference series (aligned by
-    nearest timestamp within half the cadence) and summarize the stored rows."""
-    ref_rows = []
+) -> dict:
+    """The report document: each labeled reference series compared with the
+    sensor series (aligned by nearest timestamp within half the cadence),
+    then the summaries of the stored rows. ``report_to_json`` writes it as
+    it is; README's "Report JSON" section lists its keys."""
+    compared = []
     for label, series in references:
         pairs = align_nearest(sensor_series, series, cadence_s / 2.0)
         if len(pairs) < 2:
             raise NoOverlap(f"reference {label!r}: {len(pairs)} aligned pairs")
         a = [p[0] for p in pairs]
         b = [p[1] for p in pairs]
-        ref_rows.append(ReferenceRow(label, rmse(a, b), pearson(a, b), len(pairs)))
-    return ValidationReport(
-        reference_rows=ref_rows,
-        summary=summarize(rows),
-        contrasts=layer_contrast(rows),
-    )
+        error = rmse(a, b)
+        compared.append({"label": label, "rmse_percent": error, "rmse_fraction": error / 100.0,
+                         "correlation": pearson(a, b), "n_pairs": len(pairs)})
+    return {
+        "references": compared,
+        **summarize(rows),
+        "layer_contrast": layer_contrast(rows),
+        "boundary_cm": SURFACE_BOUNDARY_CM,
+        "std_convention": "sample (n-1)",
+    }
 
 
 def _fmt(v, nd=4):
@@ -227,67 +190,43 @@ def _fmt(v, nd=4):
     return f"{v:.{nd}f}"
 
 
-def render_report(report: ValidationReport) -> str:
+def render_report(doc: dict) -> str:
     """Plain-text tables: per-reference RMSE/correlation, channel extrema,
     per-depth variability, layer contrast."""
     lines = []
     lines.append("RMSE AND CORRELATION AGAINST REFERENCE SERIES")
     lines.append(f"{'DATA SET':<24}{'RMSE (%VWC)':>14}{'RMSE (fraction)':>18}{'CORRELATION':>14}")
-    for row in report.reference_rows:
+    for ref in doc["references"]:
         lines.append(
-            f"{row.label.upper():<24}{_fmt(row.rmse, 4):>14}"
-            f"{_fmt(row.rmse / 100.0, 6):>18}{_fmt(row.correlation, 4):>14}"
+            f"{ref['label'].upper():<24}{_fmt(ref['rmse_percent'], 4):>14}"
+            f"{_fmt(ref['rmse_fraction'], 6):>18}{_fmt(ref['correlation'], 4):>14}"
         )
     lines.append("")
     lines.append("MIN AND MAX VALUES OVER THE STUDY PERIOD")
-    for ch, ex in sorted(report.summary.extrema.items(), key=lambda kv: kv[0].value):
-        unit = "V" if ch is Channel.MOISTURE_VOLTAGE else "degC"
-        lines.append(f"MINIMUM {ch.value.upper()} ({unit})  {_fmt(ex.minimum)}")
-        lines.append(f"MAXIMUM {ch.value.upper()} ({unit})  {_fmt(ex.maximum)}")
+    for ch, ex in doc["extrema"].items():
+        unit = "V" if ch == Channel.MOISTURE_VOLTAGE else "degC"
+        lines.append(f"MINIMUM {ch.upper()} ({unit})  {_fmt(ex['min'])}")
+        lines.append(f"MAXIMUM {ch.upper()} ({unit})  {_fmt(ex['max'])}")
     lines.append("")
-    lines.append(f"PER-DEPTH VARIABILITY (std convention: {report.std_convention})")
+    lines.append(f"PER-DEPTH VARIABILITY (std convention: {doc['std_convention']})")
     lines.append(f"{'DEPTH(CM)':<11}{'CHANNEL':<13}{'N':>7}{'MEAN':>12}{'STD':>12}{'CV':>12}")
-    for ds in report.summary.depth_stats:
+    for ds in doc["depth_stats"]:
         lines.append(
-            f"{ds.depth_cm:<11}{ds.channel.value:<13}{ds.n:>7}"
-            f"{_fmt(ds.mean):>12}{_fmt(ds.std):>12}{_fmt(ds.cv):>12}"
+            f"{ds['depth_cm']:<11}{ds['channel']:<13}{ds['n']:>7}"
+            f"{_fmt(ds['mean']):>12}{_fmt(ds['std']):>12}{_fmt(ds['cv']):>12}"
         )
     lines.append("")
-    lines.append(f"LAYER CONTRAST AT {report.boundary_cm} CM")
-    for ch, lc in sorted(report.contrasts.items(), key=lambda kv: kv[0].value):
+    lines.append(f"LAYER CONTRAST AT {doc['boundary_cm']} CM")
+    for ch, lc in doc["layer_contrast"].items():
         lines.append(
-            f"{ch.value:<13} surface_std={_fmt(lc.surface_std)} "
-            f"subsurface_std={_fmt(lc.subsurface_std)} "
-            f"surface_more_variable={lc.surface_more_variable}"
+            f"{ch:<13} surface_std={_fmt(lc['surface_std'])} "
+            f"subsurface_std={_fmt(lc['subsurface_std'])} "
+            f"surface_more_variable={lc['surface_more_variable']}"
         )
     return "\n".join(lines) + "\n"
 
 
-def report_to_json(report: ValidationReport) -> bytes:
-    doc = {
-        "references": [
-            {"label": r.label, "rmse_percent": r.rmse, "rmse_fraction": r.rmse / 100.0,
-             "correlation": r.correlation, "n_pairs": r.n_pairs}
-            for r in report.reference_rows
-        ],
-        "extrema": {
-            ch.value: {"min": ex.minimum, "max": ex.maximum, "mean": ex.mean}
-            for ch, ex in sorted(report.summary.extrema.items(), key=lambda kv: kv[0].value)
-        },
-        "depth_stats": [
-            {"depth_cm": d.depth_cm, "channel": d.channel.value, "n": d.n,
-             "mean": d.mean, "std": d.std, "cv": d.cv}
-            for d in report.summary.depth_stats
-        ],
-        "layer_contrast": {
-            ch.value: {"surface_std": lc.surface_std,
-                       "subsurface_std": lc.subsurface_std,
-                       "surface_more_variable": lc.surface_more_variable}
-            for ch, lc in sorted(report.contrasts.items(), key=lambda kv: kv[0].value)
-        },
-        "boundary_cm": report.boundary_cm,
-        "std_convention": report.std_convention,
-    }
+def report_to_json(doc: dict) -> bytes:
     return json.dumps(doc, indent=2).encode("ascii") + b"\n"
 
 

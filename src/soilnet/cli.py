@@ -290,15 +290,13 @@ def cmd_report(args) -> int:
     rows = rows_with_vwc(rows, model)
 
     # Sensor VWC series for reference comparison: calibrated moisture at the
-    # shallowest depth present (gravimetric sampling is near-surface); a
-    # reading the model cannot map has no VWC and is left out.
-    depth = min(r.depth_cm for r in rows if r.channel is Channel.MOISTURE_VOLTAGE)
-    sensor_series = [
-        (r.timestamp, r.vwc_percent)
-        for r in rows
-        if r.channel is Channel.MOISTURE_VOLTAGE and r.depth_cm == depth
-        and r.vwc_percent is not None
-    ]
+    # shallowest depth present (gravimetric sampling is near-surface), empty
+    # when the range holds no moisture rows; a reading the model cannot map
+    # has no VWC and is left out.
+    moisture = [r for r in rows if r.channel is Channel.MOISTURE_VOLTAGE]
+    depth = min((r.depth_cm for r in moisture), default=None)
+    sensor_series = [(r.timestamp, r.vwc_percent) for r in moisture
+                     if r.depth_cm == depth and r.vwc_percent is not None]
     references = []
     for spec_arg in args.reference or []:
         label, _, path = spec_arg.partition("=")
@@ -375,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("report", help="validation report (RMSE/correlation, extrema, variability)")
     common(sp)
     range_args(sp)
-    sp.add_argument("--model", default=_env_default("model"))
+    # No SOILNET_MODEL default either: the environment never changes a report.
+    sp.add_argument("--model")
     sp.add_argument("--cadence", type=int, default=900)
     sp.add_argument("--reference", action="append", metavar="LABEL=CSV")
     sp.add_argument("--out-json")

@@ -126,10 +126,10 @@ def test_criterion_3_statistics_oracle_equivalence():
             rows = [StoredRow("p1", 5, Channel.TEMPERATURE_C, v, T0 + i, i + 1, T0 + i)
                     for i, v in enumerate(a)]
             s = summarize(rows)
-            ex = s.extrema[Channel.TEMPERATURE_C]
-            assert (ex.minimum, ex.maximum) == sort_extrema(a)
-            (ds,) = s.depth_stats
-            assert ds.std == pytest.approx(naive_sample_std(a), abs=1e-12)
+            ex = s["extrema"][Channel.TEMPERATURE_C]
+            assert (ex["min"], ex["max"]) == sort_extrema(a)
+            (ds,) = s["depth_stats"]
+            assert ds["std"] == pytest.approx(naive_sample_std(a), abs=1e-12)
             # affine invariance
             alpha, beta = rng.uniform(0.1, 10.0), rng.uniform(-50, 50)
             if want_p is not None:
@@ -210,8 +210,8 @@ def test_criterion_6_surface_subsurface_contrast():
                 rows.append(StoredRow(r.profile_id, r.depth_cm, r.channel, r.value,
                                       r.timestamp, r.seq, r.timestamp))
         contrasts = layer_contrast(rows)
-        assert contrasts[Channel.MOISTURE_VOLTAGE].surface_more_variable
-        assert contrasts[Channel.TEMPERATURE_C].surface_more_variable
+        assert contrasts[Channel.MOISTURE_VOLTAGE]["surface_more_variable"]
+        assert contrasts[Channel.TEMPERATURE_C]["surface_more_variable"]
 
         # Dry-down window: 3 rain-free days preceded by 2 quiet days so the
         # surface has drained toward its floor.
@@ -248,10 +248,10 @@ def test_criterion_7_desk_scale_substitutes():
         noisy = [(t, v + rng.gauss(0, sigma_pct)) for t, v in series]
         report = validation_report(rows, series,
                                    [("low cost sensor", noisy), ("self", series)])
-        by_label = {r.label: r for r in report.reference_rows}
-        assert by_label["low cost sensor"].rmse == pytest.approx(sigma_pct, rel=0.2)
-        assert by_label["low cost sensor"].rmse / 100.0 == pytest.approx(0.03, rel=0.2)
-        assert by_label["self"].rmse == 0.0
+        by_label = {r["label"]: r for r in report["references"]}
+        assert by_label["low cost sensor"]["rmse_percent"] == pytest.approx(sigma_pct, rel=0.2)
+        assert by_label["low cost sensor"]["rmse_percent"] / 100.0 == pytest.approx(0.03, rel=0.2)
+        assert by_label["self"]["rmse_percent"] == 0.0
         text = render_report(report)
         assert "DATA SET" in text and "RMSE" in text and "CORRELATION" in text
         assert "LOW COST SENSOR" in text

@@ -110,16 +110,16 @@ class TestPearson:
 class TestSummarize:
     def test_single_row(self):
         s = summarize([row(1, T0, 5, Channel.MOISTURE_VOLTAGE, 1.30)])
-        ex = s.extrema[Channel.MOISTURE_VOLTAGE]
-        assert ex.minimum == ex.maximum == 1.30
-        (ds,) = s.depth_stats
-        assert ds.std is None and ds.cv is None and ds.n == 1
+        ex = s["extrema"][Channel.MOISTURE_VOLTAGE]
+        assert ex["min"] == ex["max"] == 1.30
+        (ds,) = s["depth_stats"]
+        assert ds["std"] is None and ds["cv"] is None and ds["n"] == 1
 
     def test_extrema_match_table_bounds(self):
         values = [29.46, 35.0, 43.31, 40.0]
         rows = [row(i + 1, T0 + i, 5, Channel.MOISTURE_VOLTAGE, v) for i, v in enumerate(values)]
-        ex = summarize(rows).extrema[Channel.MOISTURE_VOLTAGE]
-        assert (ex.minimum, ex.maximum) == (29.46, 43.31)
+        ex = summarize(rows)["extrema"][Channel.MOISTURE_VOLTAGE]
+        assert (ex["min"], ex["max"]) == (29.46, 43.31)
 
     def test_extrema_match_sort_oracle(self):
         rng = random.Random(6)
@@ -127,18 +127,32 @@ class TestSummarize:
             values = [rng.uniform(-50, 50) for _ in range(rng.randint(1, 200))]
             rows = [row(i + 1, T0 + i, 5, Channel.TEMPERATURE_C, v)
                     for i, v in enumerate(values)]
-            ex = summarize(rows).extrema[Channel.TEMPERATURE_C]
-            assert (ex.minimum, ex.maximum) == sort_extrema(values)
+            ex = summarize(rows)["extrema"][Channel.TEMPERATURE_C]
+            assert (ex["min"], ex["max"]) == sort_extrema(values)
 
     def test_std_and_cv_match_naive_oracle(self):
         rng = random.Random(7)
         values = [rng.uniform(1, 10) for _ in range(500)]
         rows = [row(i + 1, T0 + i, 15, Channel.MOISTURE_VOLTAGE, v)
                 for i, v in enumerate(values)]
-        (ds,) = summarize(rows).depth_stats
+        (ds,) = summarize(rows)["depth_stats"]
         expected_std = naive_sample_std(values)
-        assert ds.std == pytest.approx(expected_std, abs=1e-12)
-        assert ds.cv == pytest.approx(expected_std / (sum(values) / len(values)), abs=1e-12)
+        assert ds["std"] == pytest.approx(expected_std, abs=1e-12)
+        assert ds["cv"] == pytest.approx(expected_std / (sum(values) / len(values)), abs=1e-12)
+
+    @given(st.one_of(st.sampled_from([0.1, 0.3, 1e-300, -0.7]),
+                     st.floats(-1e6, 1e6)),
+           st.integers(2, 50))
+    def test_constant_series_exact(self, c, n):
+        # fsum(values) / n can miss c by an ulp; a constant is still constant.
+        values = [c] * n
+        assert sample_std(values) == 0.0
+        assert pearson(values, list(range(n))) is None
+        cv = coefficient_of_variation(values)
+        if c == 0.0:
+            assert cv is None
+        else:
+            assert cv == 0.0 and math.copysign(1.0, cv) == 1.0
 
     def test_cv_undefined_for_zero_mean(self):
         assert coefficient_of_variation([-1.0, 1.0]) is None
@@ -165,14 +179,20 @@ class TestLayerContrast:
             [1.5 + rng.gauss(0, 0.01) for _ in range(100)],
         )
         (lc,) = layer_contrast(rows).values()
-        assert lc.surface_more_variable
-        assert lc.surface_std > lc.subsurface_std
+        assert lc["surface_more_variable"]
+        assert lc["surface_std"] > lc["subsurface_std"]
 
     def test_identical_constants_not_more_variable(self):
         rows = self._rows([1.5] * 10, [1.5] * 10)
         (lc,) = layer_contrast(rows).values()
-        assert lc.surface_std == lc.subsurface_std == 0.0
-        assert not lc.surface_more_variable
+        assert lc["surface_std"] == lc["subsurface_std"] == 0.0
+        assert not lc["surface_more_variable"]
+
+    def test_different_constants_not_more_variable(self):
+        rows = self._rows([0.1] * 3, [1.5] * 10)
+        (lc,) = layer_contrast(rows).values()
+        assert lc["surface_std"] == lc["subsurface_std"] == 0.0
+        assert not lc["surface_more_variable"]
 
     def test_missing_layer(self):
         rows = [row(i + 1, T0 + i, 5, Channel.MOISTURE_VOLTAGE, 1.5) for i in range(5)]
@@ -245,9 +265,9 @@ class TestValidationReport:
     def test_self_reference_perfect(self):
         rows, series = self._rows_and_series()
         report = validation_report(rows, series, [("self", series)])
-        (ref,) = report.reference_rows
-        assert ref.rmse == 0.0
-        assert ref.correlation == pytest.approx(1.0, abs=1e-12)
+        (ref,) = report["references"]
+        assert ref["rmse_percent"] == 0.0
+        assert ref["correlation"] == pytest.approx(1.0, abs=1e-12)
 
     def test_injected_noise_recovered(self):
         rows, series = self._rows_and_series()
@@ -255,9 +275,9 @@ class TestValidationReport:
         sigma = 3.0  # percent VWC, i.e. 0.03 as a fraction
         noisy = [(t, v + rng.gauss(0, sigma)) for t, v in series]
         report = validation_report(rows, series, [("noisy", noisy)])
-        (ref,) = report.reference_rows
-        assert ref.rmse == pytest.approx(sigma, rel=0.2)
-        assert ref.rmse / 100.0 == pytest.approx(0.03, rel=0.2)
+        (ref,) = report["references"]
+        assert ref["rmse_percent"] == pytest.approx(sigma, rel=0.2)
+        assert ref["rmse_percent"] / 100.0 == pytest.approx(0.03, rel=0.2)
 
     def test_disjoint_windows_no_overlap(self):
         rows, series = self._rows_and_series()

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from soilnet.cli import build_parser, main, parse_addr, parse_duration, parse_instant
-from soilnet.core import FIELD_CALIBRATION
+from soilnet.core import FIELD_CALIBRATION, apply_calibration
 from soilnet.gateway import Gateway, serve
 from soilnet.protocol import Ack
 from soilnet.store import Store, export_csv, iso_utc, rows_with_vwc
@@ -71,6 +71,34 @@ class TestArgHelpers:
                 codes |= set(re.findall(r'\bErr\("([^"]+)"', f.read()))
         assert len(codes) >= 5
         assert {code for code in codes if f"ERR {code}" not in section} == set()
+
+    def test_readme_names_every_report_key(self, offline_store, tmp_path):
+        # README's "Report JSON" section names each top-level key of a real
+        # report, in order, and the keys of each entry; nothing more.
+        with open(os.path.join(REPO, "README.md")) as f:
+            section = f.read().split("\n## Report JSON\n", 1)[1].split("\n## ", 1)[0]
+        bullets = [" ".join(b.split()) for b in section.split("\n- ")[1:]]
+        named = {re.match(r"`(\w+)`", b)[1]: re.findall(r"`(\w+)`", b.partition("with keys")[2])
+                 for b in bullets}
+        reference = tmp_path / "gravimetric.csv"
+        reference.write_text("".join(f"{1700000000 + 900 * i},{30 + i % 3}\n" for i in range(25)))
+        out_json = tmp_path / "report.json"
+        assert run_cli(["report", "--data-root", offline_store, "--profile", "p1",
+                        "--reference", f"gravimetric={reference}",
+                        "--out-json", str(out_json)]) == 0
+
+        def entry_keys(value):
+            # The keys of a list's items or of a mapping's values; each has
+            # the same ones.
+            if not isinstance(value, (list, dict)):
+                return []
+            items = value if isinstance(value, list) else list(value.values())
+            assert items and all(list(item) == list(items[0]) for item in items)
+            return list(items[0])
+
+        doc = json.loads(out_json.read_bytes())
+        emitted = {key: entry_keys(value) for key, value in doc.items()}
+        assert named == emitted and list(named) == list(emitted)
 
 
 def run_cli(args):
@@ -156,6 +184,47 @@ class TestSimulateOffline:
             "p2/2024-01-04.csv": "ab55709bcb1660e35a962e5d27ecfd03f2e9a8fce1fa77f8fedb6e2850ea93df",
             "p2/2024-01-05.csv": "0d3f06006b929785860e0bccc2aaaef01c0cf2e0c32e636df439eae51bdf1135",
             "p2/2024-01-06.csv": "d848ce4800141a41f3b5b7e81d0148c25cc84eb986ca0a40bc8d71a831f868a9",
+        }
+
+    def test_report_bytes_pinned(self, tmp_path, capsys):
+        root = str(tmp_path / "data")
+        assert run_cli([
+            "simulate", "--offline", "--data-root", root, "--nodes", "2",
+            "--duration", "2d", "--seed", "7", "--start", "2024-01-04T06:00:00Z",
+        ]) == 0
+        capsys.readouterr()
+        # Every 8th 5 cm moisture reading of p1, calibrated, a minute late
+        # and off by a fixed zigzag: a reference with a non-zero RMSE.
+        moisture = [r for r in Store(root).query(profile_id="p1")
+                    if r.depth_cm == 5 and r.channel.value == "moisture"]
+        reference = tmp_path / "gravimetric.csv"
+        reference.write_text("timestamp,vwc_percent\n" + "".join(
+            f"{iso_utc(r.timestamp + 60)},"
+            f"{apply_calibration(FIELD_CALIBRATION, r.value) + (i % 5 - 2) * 0.75!r}\n"
+            for i, r in enumerate(moisture[::8])))
+        out_json, plots = tmp_path / "report.json", tmp_path / "plots"
+        assert run_cli(["report", "--data-root", root, "--profile", "p1",
+                        "--reference", f"gravimetric={reference}",
+                        "--out-json", str(out_json), "--plot-csv-dir", str(plots)]) == 0
+        p1_text = capsys.readouterr().out
+        assert run_cli(["report", "--data-root", root]) == 0
+        all_text = capsys.readouterr().out
+
+        def sha(data):
+            return hashlib.sha256(data).hexdigest()
+
+        assert {
+            "p1 stdout": sha(p1_text.encode()),
+            "p1 json": sha(out_json.read_bytes()),
+            "moisture.csv": sha((plots / "moisture.csv").read_bytes()),
+            "temperature.csv": sha((plots / "temperature.csv").read_bytes()),
+            "all stdout": sha(all_text.encode()),
+        } == {
+            "p1 stdout": "1d2c30a788f38ffeddf1ef2b9956cf0267b8ed04457a62d9a971cdc8d6f7b737",
+            "p1 json": "0e7fcefa95ee056433040d1113f8550b084f96ccd1b1aec15b09c21a121c21e7",
+            "moisture.csv": "9eb2687dacd081041c28a2b8a814481fca64c999af0c8d5dbab4e38b8d4086c4",
+            "temperature.csv": "adc5e3eba40b2b21d2af8d064c9618014200883d6c144abb4a9f2d1fd812722e",
+            "all stdout": "e5a4d0ee9879d81186fc752e6f5e83e4a920f922fbf479da24498139fcf4039f",
         }
 
 
@@ -276,6 +345,54 @@ class TestReport:
         assert rc == 0
         text = capsys.readouterr().out
         assert "GRAVIMETRIC" in text
+
+    @pytest.fixture
+    def temperature_store(self, tmp_path):
+        # The gateway accepts temperature PUBs alone.
+        root = str(tmp_path / "temperatures")
+        gw = Gateway(("127.0.0.1", 0), Store(root), site="site")
+        try:
+            for seq in range(1, 5):
+                for depth, value in ((5, 20.0 + seq), (50, 18.0 + seq / 10)):
+                    line = (f"PUB site/site/profile/p1/depth/{depth}/temperature "
+                            f"{seq} {1700000000 + 900 * seq} {value}\n")
+                    assert gw.handle_line(line.encode()) == Ack(seq)
+        finally:
+            gw.server_close()
+        return root
+
+    def test_report_without_moisture_rows(self, temperature_store, tmp_path, capsys):
+        out_json = str(tmp_path / "report.json")
+        assert run_cli(["report", "--data-root", temperature_store, "--out-json", out_json]) == 0
+        assert "MAXIMUM TEMPERATURE (degC)  24.0000" in capsys.readouterr().out
+        with open(out_json) as f:
+            doc = json.load(f)
+        assert (doc["references"], list(doc["extrema"])) == ([], ["temperature"])
+
+    def test_reference_without_moisture_rows_has_no_overlap(self, temperature_store, tmp_path,
+                                                             capsys):
+        ref_path = tmp_path / "gravimetric.csv"
+        ref_path.write_text("".join(f"{1700000000 + 900 * i},30.0\n" for i in range(1, 5)))
+        assert run_cli(["report", "--data-root", temperature_store,
+                        "--reference", f"gravimetric={ref_path}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: NoOverlap: reference 'gravimetric': 0 aligned pairs\n")
+
+    def test_report_ignores_model_environment(self, offline_store, tmp_path, capsys,
+                                              monkeypatch):
+        ref_path = tmp_path / "gravimetric.csv"
+        ref_path.write_text("".join(f"{1700000000 + 900 * i},30.0\n" for i in range(25)))
+        out_json = tmp_path / "report.json"
+        argv = ["report", "--data-root", offline_store, "--profile", "p1",
+                "--reference", f"gravimetric={ref_path}", "--out-json", str(out_json)]
+        assert run_cli(argv) == 0
+        plain = (capsys.readouterr().out, out_json.read_bytes())
+        assert "GRAVIMETRIC" in plain[0]
+        model_path = tmp_path / "other-model.json"
+        model_path.write_text(json.dumps({"a": 1.0, "b": 2.0, "c": 3.0, "transform": "identity"}))
+        monkeypatch.setenv("SOILNET_MODEL", str(model_path))
+        assert run_cli(argv) == 0
+        assert (capsys.readouterr().out, out_json.read_bytes()) == plain
 
     def test_empty_range_exit_2(self, offline_store, capsys):
         assert run_cli(["report", "--data-root", offline_store,
