@@ -82,12 +82,12 @@ def sample_std(values) -> float | None:
 
 def coefficient_of_variation(values) -> float | None:
     std = sample_std(values)
-    if std is None:
-        return None
-    mean = _mean(values)
-    if mean == 0.0:
-        return None
-    return std / mean if std else 0.0  # not -0.0 under a negative mean
+    return None if std is None else _cv(std, _mean(values))
+
+
+def _cv(std: float, mean: float) -> float | None:
+    # None for a zero mean; not -0.0 under a negative mean.
+    return None if mean == 0.0 else std / mean if std else 0.0
 
 
 def summarize(rows: list[StoredRow]) -> dict:
@@ -100,17 +100,17 @@ def summarize(rows: list[StoredRow]) -> dict:
     for row in rows:
         by_channel.setdefault(row.channel, []).append(row.value)
         by_depth.setdefault((row.depth_cm, row.channel), []).append(row.value)
+    depth_stats = []
+    for (d, ch), vals in sorted(by_depth.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
+        mean, std = _mean(vals), sample_std(vals)
+        depth_stats.append({"depth_cm": d, "channel": ch.value, "n": len(vals), "mean": mean,
+                            "std": std, "cv": None if std is None else _cv(std, mean)})
     return {
         "extrema": {
             ch.value: {"min": min(vals), "max": max(vals), "mean": _mean(vals)}
             for ch, vals in sorted(by_channel.items(), key=lambda kv: kv[0].value)
         },
-        "depth_stats": [
-            {"depth_cm": d, "channel": ch.value, "n": len(vals), "mean": _mean(vals),
-             "std": sample_std(vals), "cv": coefficient_of_variation(vals)}
-            for (d, ch), vals in sorted(by_depth.items(),
-                                        key=lambda kv: (kv[0][0], kv[0][1].value))
-        ],
+        "depth_stats": depth_stats,
     }
 
 

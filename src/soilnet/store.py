@@ -1,5 +1,6 @@
 """Append-only time-series storage partitioned by profile and UTC day,
-with range queries and bit-exact CSV/JSON/XML export.
+with range queries and bit-exact CSV/JSON/XML export. One encoder,
+``_csv_line``, writes every CSV row, to a partition or an export alike.
 
 On-disk layout: {root}/{profile_id}/{YYYY-MM-DD}.csv, one header line per
 file, rows appended in receive order and never rewritten. A row's
@@ -17,19 +18,21 @@ so writers in one process or in several may share a store on a local
 file system: a gateway and ``simulate --offline``, say.
 
 Checkpoint: {root}/last_seqs.json (no partition, as its name does not end
-in .csv) records, per partition, the bytes up to the last newline that
-``last_seqs`` or an appending Store has seen: their length, the file's
+in .csv) records, per partition, the bytes up to the last newline that a
+scan or an appending Store has seen: their length, the file's
 st_mtime_ns and st_ino when it held just them, their crc32, and the
-highest seq of each stream among them. ``last_seqs`` trusts an entry
-whose file still has that length, mtime and inode; it reads only the
+highest seq of each stream among them. ``last_seqs`` and
+``Store.checkpoint`` run one scan, which stats every partition, trusts an
+entry whose file still has that length, mtime and inode, reads only the
 bytes past the entry in a file whose first bytes still have that length
 and crc32, and every other file whole. So a gateway start stats the
 partitions instead of reading every row. The file is a cache, guarded by
-a crc32 of its own: a missing, stale, corrupt or foreign one costs a
-full read, never a wrong seq, and deleting it is always safe. Appending
-Stores keep their entries in memory; ``Store.checkpoint`` saves them
+a crc32 of its own: a missing, stale, corrupt or foreign one costs a full
+read, never a wrong seq, and deleting it is always safe. Appending Stores
+keep their entries in memory, for ``Store.checkpoint`` to save
 (``simulate --offline`` at its end, the gateway every minute and when it
-stops), so the next start reads at most what came after the last save.
+stops); an entry whose file another writer appended to is resumed past
+those rows by the next scan.
 The validator assumes that every write gives the file a new mtime, as
 file systems with fine-grained timestamps do; where the clock is coarse,
 a partition deleted and rewritten to the same length within one tick of
@@ -181,6 +184,22 @@ def _row_values(row: StoredRow) -> tuple:
             repr(row.value), "" if vwc is None else repr(vwc))
 
 
+@functools.lru_cache(maxsize=1024)
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV field, quoted where the csv module quotes it (with
+    a "\\n" line terminator): where it holds a comma, a quote or a newline."""
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(row: StoredRow) -> str:
+    """``row`` as a CSV line; its profile id is the one field to quote, the
+    others being dates, numbers and channel names."""
+    ts, recv, pid, depth, chan, seq, value, vwc = _row_values(row)
+    return f"{ts},{recv},{_csv_field(pid)},{depth},{chan},{seq},{value},{vwc}\n"
+
+
 class Store:
     """Append-only store. Any number of writers, in this process or
     others, and of readers; each append holds an exclusive flock on its
@@ -196,12 +215,10 @@ class Store:
 
     def __init__(self, root: str):
         self.root = root
-        # Per (profile, day since the epoch): the partition path and the
-        # profile id as a CSV field.
-        self._paths: dict[tuple[str, int], tuple[str, str]] = {}
+        # Per (profile, day since the epoch): the partition path.
+        self._paths: dict[tuple[str, int], str] = {}
         # Per partition path, its checkpoint entry as this instance knows it.
         self._covered: dict[str, _Covered] = {}
-        self._dirty = False  # appended since the last save
         os.makedirs(root, exist_ok=True)
 
     def append(self, row: StoredRow) -> None:
@@ -213,33 +230,26 @@ class Store:
         per partition. Rows are encoded and profile ids checked before any byte
         is written, so a row that cannot be stored leaves every partition as it was.
         Each written partition's checkpoint entry is kept up to date in memory,
-        for ``checkpoint`` to save, unless the size shows another writer's rows."""
-        batches: dict[tuple[str, int], list[tuple]] = {}
+        for ``checkpoint`` to save, unless the size shows another writer's rows:
+        then the entry stays as it was, and the save reads past it."""
+        batches: dict[tuple[str, int], list[StoredRow]] = {}
         for row in rows:
             key = (row.profile_id, row.timestamp // DAY_S)
             batch = batches.get(key)
             if batch is None:
                 batch = batches[key] = []
-            batch.append(_row_values(row))
+            batch.append(row)
         encoded = []
         for key, batch in batches.items():
-            partition = self._paths.get(key)
-            if partition is None:
+            path = self._paths.get(key)
+            if path is None:
                 pid = key[0]
                 # Not printable: NUL, which no path holds, and line breaks
                 # and tabs, which no CSV reader would read back as written.
                 if pid in ("", ".", "..") or "/" in pid or not pid.isprintable():
                     raise ValueError(f"profile id {pid!r} is not a printable directory name")
-                # csv.writer quotes a field that holds ',' or '"'.
-                field = '"' + pid.replace('"', '""') + '"' if any(c in pid for c in ',"') else pid
-                partition = self._paths[key] = (
-                    os.path.join(self.root, pid, f"{_utc_date(key[1])}.csv"), field)
-            path, pid_field = partition
-            # The profile id is the one field csv.writer could quote; the
-            # others are dates, numbers and channel names.
-            text = "".join([f"{ts},{recv},{pid_field},{depth},{chan},{seq},{value},{vwc}\n"
-                            for ts, recv, _, depth, chan, seq, value, vwc in batch])
-            encoded.append((path, text.encode("ascii"), batch))
+                path = self._paths[key] = os.path.join(self.root, pid, f"{_utc_date(key[1])}.csv")
+            encoded.append((path, "".join(map(_csv_line, batch)).encode("ascii"), batch))
         for path, data, batch in encoded:
             try:
                 fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
@@ -255,20 +265,20 @@ class Store:
                 if size == 0:
                     _write_all(fd, _HEADER)
                     size = len(_HEADER)
-                entry = self._covered.pop(path, None)
                 if size == len(_HEADER):  # no row yet (its bytes are checked at save)
-                    entry = _Covered(size, _HEADER_CRC, {}, None)
+                    entry = self._covered[path] = _Covered(size, _HEADER_CRC, {}, None)
+                else:
+                    entry = self._covered.get(path)
                 _write_all(fd, data)
                 if entry is not None and entry.size == size:  # else another writer was here
                     entry.size += len(data)
                     entry.crc = zlib.crc32(data, entry.crc)
                     entry.stat = None
                     seqs = entry.seqs
-                    for _, _, pid, depth, chan, seq, _, _ in batch:
-                        if seq > seqs.get((pid, depth, chan), 0):
-                            seqs[pid, depth, chan] = seq
-                    self._covered[path] = entry
-                    self._dirty = True
+                    for row in batch:
+                        stream = (row.profile_id, row.depth_cm, row.channel.value)
+                        if row.seq > seqs.get(stream, 0):
+                            seqs[stream] = row.seq
             finally:
                 os.close(fd)
 
@@ -329,7 +339,8 @@ class Store:
         rows: list[StoredRow] = []
         for pid in targets:
             for path in self._partition_files(pid, first_day, last_day):
-                fields = _read_fields(path, EXPORT_FIELDS)
+                with open(path, "rb") as f:
+                    fields = _fields(f.read(), 0, EXPORT_FIELDS)
                 for ts, recv, profile, depth, chan, seq, value, vwc in fields:
                     ts = parse_iso_utc(ts)
                     if start_ts is not None and ts < start_ts:
@@ -354,61 +365,54 @@ class Store:
         the checkpoint does not cover (see the module docstring) and, if
         it read any, saves a new checkpoint; one it cannot write is
         skipped."""
+        read = self._scan()
         out: dict[tuple[str, int, str], int] = {}
-        saved = None
-        covered = {}
-        read = False
-        for pid in self.profiles():
-            for path in self._partition_files(pid):
-                if saved is None:
-                    saved = _load_checkpoint(self.root)
-                st = os.stat(path)
-                entry = saved.get((pid, os.path.basename(path)))
-                if (entry is None or entry.size != st.st_size
-                        or entry.stat != (st.st_mtime_ns, st.st_ino)):
-                    entry = _read_covered(path, entry)
-                    read = True
-                covered[path] = entry
-                for key, seq in entry.seqs.items():
-                    if seq > out.get(key, 0):
-                        out[key] = seq
-        self._covered = covered
-        self._dirty = False
+        for entry in self._covered.values():
+            for key, seq in entry.seqs.items():
+                if seq > out.get(key, 0):
+                    out[key] = seq
         if read:
             try:
-                self._save(covered)
+                self._save()
             except OSError:
                 pass
         return out
 
     def checkpoint(self) -> None:
-        """Save the checkpoint of every partition this instance has read
-        with ``last_seqs`` or appended to, if it appended since its last
-        save. An appended partition is recorded only if its size and the
-        crc32 of its bytes are still those this instance wrote, so another
-        writer costs the next ``last_seqs`` a read, never a wrong seq. Not
-        to be called during this instance's appends; raises OSError when
-        the checkpoint cannot be written."""
-        if not self._dirty:
-            return
-        for path, entry in list(self._covered.items()):
-            if entry.stat is None:
-                try:
-                    with open(path, "rb") as f:
-                        st = os.fstat(f.fileno())
-                        intact = st.st_size == entry.size and zlib.crc32(f.read()) == entry.crc
-                except OSError:
-                    intact = False
-                if not intact:
-                    del self._covered[path]
-                    continue
-                entry.stat = (st.st_mtime_ns, st.st_ino)
-        if self._covered:
-            self._save(self._covered)
-        self._dirty = False
+        """Save the checkpoint, if the scan that ``last_seqs`` runs had to
+        read any partition, as it does each one this instance appended to
+        since its last save. Not to be called during this instance's
+        appends; raises OSError when the checkpoint cannot be written."""
+        if self._scan():
+            self._save()
 
-    def _save(self, covered: dict[str, _Covered]) -> None:
-        """Write the checkpoint of the ``covered`` entries: a crc32 line of
+    def _scan(self) -> bool:
+        """Vouch for an entry of every partition and keep them as this
+        instance's. Its own entry, or else the saved one, is trusted while
+        the file's size, mtime and inode match it (an append clears that
+        stat); any other is resumed or rebuilt by ``_read_covered``.
+        Returns whether it read any partition."""
+        saved = None
+        covered = {}
+        read = False
+        for pid in self.profiles():
+            for path in self._partition_files(pid):
+                entry = self._covered.get(path)
+                if entry is None:
+                    if saved is None:
+                        saved = _load_checkpoint(self.root)
+                    entry = saved.get((pid, os.path.basename(path)))
+                st = os.stat(path)
+                if (entry is None or entry.size != st.st_size
+                        or entry.stat != (st.st_mtime_ns, st.st_ino)):
+                    entry = _read_covered(path, entry)
+                    read = True
+                covered[path] = entry
+        self._covered = covered
+        return read
+
+    def _save(self) -> None:
+        """Write the checkpoint of this instance's entries: a crc32 line of
         the JSON that follows it, to a temp file, which is then renamed to
         the checkpoint's name once the old checkpoint is removed. A reader
         never sees a partial checkpoint; between the two steps it finds
@@ -417,7 +421,7 @@ class Store:
         60-200 ms a save on a virtual disk; renaming to a free name takes
         0.01 ms.)"""
         partitions: dict[str, dict] = {}
-        for path, e in covered.items():
+        for path, e in self._covered.items():
             pdir, name = os.path.split(path)
             partitions.setdefault(os.path.basename(pdir), {})[name] = [
                 e.size, *e.stat, e.crc, [[*key, seq] for key, seq in e.seqs.items()]]
@@ -498,12 +502,6 @@ def _read_covered(path: str, entry: _Covered | None) -> _Covered:
                     (st.st_mtime_ns, st.st_ino))
 
 
-def _read_fields(path: str, names: tuple[str, ...]):
-    """``_fields`` of every row of the partition file ``path``."""
-    with open(path, "rb") as f:
-        return _fields(f.read(), 0, names)
-
-
 def _fields(data: bytes, start: int, names: tuple[str, ...]):
     """Yield, per data row of the partition bytes ``data`` that begins at
     or after byte ``start``, the tuple of its fields ``names``, located
@@ -530,11 +528,7 @@ def _write_all(fd: int, data: bytes) -> None:
 
 
 def export_csv(rows: list[StoredRow]) -> bytes:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(EXPORT_FIELDS)
-    w.writerows(map(_row_values, rows))
-    return buf.getvalue().encode("ascii")
+    return _HEADER + "".join(map(_csv_line, rows)).encode("ascii")
 
 
 def export_json(rows: list[StoredRow]) -> bytes:

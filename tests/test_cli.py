@@ -22,6 +22,8 @@ from soilnet.store import Store, export_csv, iso_utc, rows_with_vwc
 from oracles import naive_store_last_seqs
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# A soilnet subprocess runs this checkout's package, installed or not.
+SRC_ENV = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
 
 TABLE_VOLT_VWC = [
     (1.23, 43.21), (1.24, 42.96), (1.26, 42.40), (1.32, 40.68), (1.36, 39.65),
@@ -137,9 +139,7 @@ def test_no_command_needs_numpy(tmp_path):
             "from soilnet.cli import main\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    if main(argv) != 0: sys.exit(f'failed: {argv}')")
-    src = os.path.join(REPO, "src")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
-                          env={**os.environ, "PYTHONPATH": src},
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=SRC_ENV,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "report.json") as f:
@@ -471,7 +471,7 @@ class TestServePipeline:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "soilnet.cli", "serve", "--listen", "127.0.0.1:0",
                  "--data-root", root, "--config", str(cfg)],
-                stderr=subprocess.PIPE, text=True,
+                stderr=subprocess.PIPE, text=True, env=SRC_ENV,
             )
             with proc.stderr:
                 try:
@@ -513,7 +513,7 @@ class TestServePipeline:
         proc = subprocess.Popen(
             [sys.executable, "-m", "soilnet.cli", "serve",
              "--listen", "127.0.0.1:0", "--data-root", root],
-            stderr=subprocess.PIPE, text=True,
+            stderr=subprocess.PIPE, text=True, env=SRC_ENV,
         )
         with proc.stderr:
             line = proc.stderr.readline()
@@ -528,7 +528,7 @@ class TestServePipeline:
         proc = subprocess.Popen(
             [sys.executable, "-m", "soilnet.cli", "serve",
              "--listen", "127.0.0.1:0", "--data-root", str(tmp_path / "data")],
-            stderr=subprocess.PIPE, text=True,
+            stderr=subprocess.PIPE, text=True, env=SRC_ENV,
         )
         with proc.stderr:
             assert re.fullmatch(r"listening on 127\.0\.0\.1:\d+\n", proc.stderr.readline())

@@ -7,6 +7,7 @@ import os
 import random
 import shutil
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timezone
 from unittest import mock
 from xml.etree import ElementTree as ET
@@ -328,6 +329,21 @@ class TestCheckpoint:
         assert Store(store.root).last_seqs() == naive_store_last_seqs(store.root) == {
             ("p1", 5, "moisture"): 2}
 
+    def test_entry_resumed_past_another_writers_rows(self, store):
+        # Another Store appends before this one's next append and after it:
+        # the save reads past this Store's entry and records the whole file.
+        other = Store(store.root)
+        store.append(make_row(seq=1))
+        other.append(make_row(seq=2, ts=T0 + 1))
+        store.append(make_row(seq=3, ts=T0 + 2))
+        other.append(make_row(seq=4, ts=T0 + 3))
+        store.checkpoint()
+        expected = naive_store_last_seqs(store.root)
+        assert expected == {("p1", 5, "moisture"): 4}
+        with mock.patch.object(store_module, "_read_covered",
+                               side_effect=AssertionError("a partition was read")):
+            assert Store(store.root).last_seqs() == expected
+
     def test_altered_checkpoint_is_not_trusted(self, store, tmp_path):
         store.append_rows([make_row(seq=7)])
         store.checkpoint()
@@ -407,6 +423,8 @@ HEADER = (",".join(EXPORT_FIELDS) + "\n").encode()
 # Profile ids that need CSV quoting; floats whose repr and CSV forms are
 # easy to get wrong.
 csv_profiles = st.sampled_from(["p1", "p2", "a,b", 'q"r', 'x", y'])
+# Export-only ids too: spaces, and line breaks, which no partition may hold.
+export_profiles = csv_profiles | st.sampled_from(["a b", " p", "e\nf", 'g",\nh'])
 tricky_floats = st.sampled_from([0.0, -0.0, 3.0, -7.0, 1e16, 1e22, 1.7976931348623157e308,
                                  -1.7976931348623157e308, 5e-324, 2.2250738585072014e-308,
                                  1 / 3, float("inf"), float("nan")]) | st.floats()
@@ -448,6 +466,9 @@ def test_append_rows_writes_the_naive_lines_in_order(fields, data):
             for batch in batching:
                 store.append_rows(iter(batch))
             assert _tree(root) == expected
+    # export_csv writes the same lines.
+    exported = rows + [replace(row, profile_id=data.draw(export_profiles)) for row in rows]
+    assert export_csv(exported) == HEADER + b"".join(map(naive_csv_line, exported))
 
 
 # A profile id names the partition's directory: "" or "." would put a
