@@ -72,17 +72,25 @@ def pearson(a, b) -> float | None:
 def sample_std(values) -> float | None:
     """Sample (n-1) standard deviation; None for n < 2, 0.0 for a
     constant series."""
+    return _std(values, _mean(values)) if values else None
+
+
+def _std(values, mean: float) -> float | None:
+    # sample_std of ``values``, whose mean the caller has already.
     n = len(values)
     if n < 2:
         return None
     if _constant(values):
         return 0.0
-    return math.dist(values, [_mean(values)] * n) / math.sqrt(n - 1)
+    return math.dist(values, [mean] * n) / math.sqrt(n - 1)
 
 
 def coefficient_of_variation(values) -> float | None:
-    std = sample_std(values)
-    return None if std is None else _cv(std, _mean(values))
+    if not values:
+        return None
+    mean = _mean(values)
+    std = _std(values, mean)
+    return None if std is None else _cv(std, mean)
 
 
 def _cv(std: float, mean: float) -> float | None:
@@ -102,7 +110,8 @@ def summarize(rows: list[StoredRow]) -> dict:
         by_depth.setdefault((row.depth_cm, row.channel), []).append(row.value)
     depth_stats = []
     for (d, ch), vals in sorted(by_depth.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        mean, std = _mean(vals), sample_std(vals)
+        mean = _mean(vals)
+        std = _std(vals, mean)
         depth_stats.append({"depth_cm": d, "channel": ch.value, "n": len(vals), "mean": mean,
                             "std": std, "cv": None if std is None else _cv(std, mean)})
     return {

@@ -1,6 +1,9 @@
 """Append-only time-series storage partitioned by profile and UTC day,
 with range queries and bit-exact CSV/JSON/XML export. One encoder,
 ``_csv_line``, writes every CSV row, to a partition or an export alike.
+Each exporter is one per-row template over ``_row_values``, joined once:
+JSON gives the bytes of ``json.dumps(records, indent=2)``, XML those of
+ElementTree's indented ``<readings>`` tree.
 
 On-disk layout: {root}/{profile_id}/{YYYY-MM-DD}.csv, one header line per
 file, rows appended in receive order and never rewritten. A row's
@@ -54,6 +57,7 @@ import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from soilnet.core import CalibrationModel, Channel, RawReading, ZeroVoltage, apply_calibration
@@ -161,22 +165,10 @@ class StoredRow:
         )
 
 
-def _row_record(row: StoredRow) -> dict:
-    return {
-        "timestamp": iso_utc(row.timestamp),
-        "recv_timestamp": iso_utc(row.recv_timestamp),
-        "profile": row.profile_id,
-        "depth_cm": row.depth_cm,
-        "channel": row.channel.value,
-        "seq": row.seq,
-        "value": row.value,
-        "vwc_percent": row.vwc_percent,
-    }
-
-
 def _row_values(row: StoredRow) -> tuple:
-    """The CSV fields of ``row``: floats in shortest round-trip form, an
-    absent vwc_percent as an empty field."""
+    """The fields of ``row`` in EXPORT_FIELDS order, as every exporter
+    fills them in: floats in shortest round-trip form, an absent
+    vwc_percent as an empty field."""
     ts = iso_utc(row.timestamp)
     recv = ts if row.recv_timestamp == row.timestamp else iso_utc(row.recv_timestamp)
     vwc = row.vwc_percent
@@ -531,23 +523,60 @@ def export_csv(rows: list[StoredRow]) -> bytes:
     return _HEADER + "".join(map(_csv_line, rows)).encode("ascii")
 
 
+# One record of json.dumps(records, indent=2), with its id and numbers as JSON text.
+_JSON_ROW = ('  {\n    "timestamp": "%s",\n    "recv_timestamp": "%s",\n    "profile": %s,\n'
+             '    "depth_cm": %s,\n    "channel": "%s",\n    "seq": %s,\n    "value": %s,\n'
+             '    "vwc_percent": %s\n  }')
+
+
+def _json_number(text: str, x: float | None) -> str:
+    """The repr ``text`` of ``x`` as json.dumps writes ``x``: a repr ending in
+    a digit is JSON already, None is null, json.dumps writes NaN and infinities."""
+    if text[-1:].isdigit():
+        return text
+    return "null" if x is None else json.dumps(x)
+
+
+def _json_record(row: StoredRow) -> str:
+    ts, recv, pid, depth, chan, seq, value, vwc = _row_values(row)
+    # The id as json.dumps writes a string, by the function it calls.
+    return _JSON_ROW % (ts, recv, encode_basestring_ascii(pid), depth, chan, seq,
+                        _json_number(value, row.value), _json_number(vwc, row.vwc_percent))
+
+
 def export_json(rows: list[StoredRow]) -> bytes:
-    return json.dumps([_row_record(r) for r in rows], indent=2).encode("ascii") + b"\n"
+    """The bytes of json.dumps(records, indent=2) plus a newline."""
+    if not rows:
+        return b"[]\n"
+    return ("[\n" + ",\n".join(map(_json_record, rows)) + "\n]\n").encode("ascii")
+
+
+# One <reading> line of ElementTree's indented tree; the last %s is vwc_percent or nothing.
+_XML_ROW = ('  <reading timestamp="%s" recv_timestamp="%s" profile="%s" depth_cm="%s"'
+            ' channel="%s" seq="%s" value="%s"%s />')
+
+
+@functools.lru_cache(maxsize=1024)
+def _xml_attr(text: str) -> str:
+    """``text`` escaped as ElementTree escapes an attribute value."""
+    for c, ref in (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+                   ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;")):
+        text = text.replace(c, ref)
+    return text
+
+
+def _xml_reading(row: StoredRow) -> str:
+    ts, recv, pid, depth, chan, seq, value, vwc = _row_values(row)
+    return _XML_ROW % (ts, recv, _xml_attr(pid), depth, chan, seq, value,
+                       vwc and f' vwc_percent="{vwc}"')
 
 
 def export_xml(rows: list[StoredRow]) -> bytes:
-    # Imported here: no other command needs it, and it costs every start.
-    from xml.etree import ElementTree as ET
-
-    root = ET.Element("readings")
-    for row in rows:
-        *values, vwc = _row_values(row)
-        attrs = dict(zip(EXPORT_FIELDS, map(str, values)))
-        if vwc:
-            attrs["vwc_percent"] = vwc
-        ET.SubElement(root, "reading", attrs)
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode").encode("ascii") + b"\n"
+    """The bytes of ElementTree's indented <readings> tree plus a newline;
+    an id that is not ASCII raises UnicodeEncodeError."""
+    if not rows:
+        return b"<readings />\n"
+    return ("<readings>\n" + "\n".join(map(_xml_reading, rows)) + "\n</readings>\n").encode("ascii")
 
 
 _EXPORTERS = {"csv": export_csv, "json": export_json, "xml": export_xml}

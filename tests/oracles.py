@@ -6,10 +6,12 @@ elimination) and shares no code with the package under test.
 
 import csv
 import io
+import json
 import math
 import os
 import random
 from datetime import datetime, timezone
+from xml.etree import ElementTree as ET
 
 DAY_S = 86400
 
@@ -149,12 +151,9 @@ def naive_iso_utc(ts):
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def naive_csv_line(row):
-    """One StoredRow as a line of its partition file, the way the store
-    encoded rows one at a time: a record dict, then per field an empty
-    string for None, repr for a float and the value itself otherwise,
-    written by a fresh csv.writer."""
-    rec = {
+def naive_record(row):
+    """One StoredRow as a dict of its export fields, timestamps as text."""
+    return {
         "timestamp": naive_iso_utc(row.timestamp),
         "recv_timestamp": naive_iso_utc(row.recv_timestamp),
         "profile": row.profile_id,
@@ -164,6 +163,14 @@ def naive_csv_line(row):
         "value": row.value,
         "vwc_percent": row.vwc_percent,
     }
+
+
+def naive_csv_line(row):
+    """One StoredRow as a line of its partition file, the way the store
+    encoded rows one at a time: a record dict, then per field an empty
+    string for None, repr for a float and the value itself otherwise,
+    written by a fresh csv.writer."""
+    rec = naive_record(row)
     vals = []
     for name in NAIVE_CSV_FIELDS:
         v = rec[name]
@@ -176,6 +183,28 @@ def naive_csv_line(row):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(vals)
     return buf.getvalue().encode("ascii")
+
+
+def naive_json_export(rows):
+    """StoredRows as the JSON export was first written: their records,
+    dumped whole by json.dumps(indent=2), then a newline."""
+    return json.dumps([naive_record(r) for r in rows], indent=2).encode("ascii") + b"\n"
+
+
+def naive_xml_export(rows):
+    """StoredRows as the XML export was first written: a <readings> tree
+    with one <reading> per row, its attributes the record's fields as text
+    (repr for a float) and no vwc_percent when there is none, indented by
+    ElementTree and serialised as ASCII, then a newline."""
+    root = ET.Element("readings")
+    for r in rows:
+        attrs = {}
+        for name, v in naive_record(r).items():
+            if v is not None:
+                attrs[name] = repr(v) if isinstance(v, float) else str(v)
+        ET.SubElement(root, "reading", attrs)
+    ET.indent(root)
+    return ET.tostring(root, encoding="unicode").encode("ascii") + b"\n"
 
 
 def naive_looks_pub(line):

@@ -186,6 +186,32 @@ class TestSimulateOffline:
             "p2/2024-01-06.csv": "d848ce4800141a41f3b5b7e81d0148c25cc84eb986ca0a40bc8d71a831f868a9",
         }
 
+    def test_export_bytes_pinned(self, tmp_path):
+        # The store of test_partition_bytes_pinned, exported raw in every
+        # format, then with vwc_percent filled by a --model.
+        root = str(tmp_path / "data")
+        assert run_cli([
+            "simulate", "--offline", "--data-root", root, "--nodes", "2",
+            "--duration", "2d", "--seed", "7", "--start", "2024-01-04T06:00:00Z",
+        ]) == 0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(FIELD_CALIBRATION.to_dict()))
+        got = {}
+        for fmt in ("csv", "json", "xml"):
+            for extra in ([], ["--model", str(model)]):
+                out = tmp_path / f"out.{fmt}"
+                assert run_cli(["export", "--data-root", root, "--format", fmt,
+                                "--out", str(out), *extra]) == 0
+                got[" ".join([fmt, *extra[:1]])] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert got == {
+            "csv": "15207667411ca6d032e64141d15338d2ba6cf8a55a8173796a7b08e122adc000",
+            "csv --model": "9be097580a1500b06091506e7a6b1c96174f17243ed77a683b05924dcd3e65b8",
+            "json": "a0a4f73797b09082ad0154bb091ab19e261733cbb9096bb0a0f14eaf3e8e7a0c",
+            "json --model": "bbbc175e581922ec272ebc16f2f4d6b6053656917b3cd695329e203156e7139a",
+            "xml": "fd749670a0a45fa16940a789f9034fc2a95bef9d790861bd81bdf67fd124edd2",
+            "xml --model": "aa4e30e36223f2e6515005b03700cd2d0d844e5bbf5b4df66f7be43d52d20223",
+        }
+
     def test_report_bytes_pinned(self, tmp_path, capsys):
         root = str(tmp_path / "data")
         assert run_cli([

@@ -25,12 +25,20 @@ from soilnet.store import (
     UnknownProfile,
     export,
     export_csv,
+    export_json,
+    export_xml,
     iso_utc,
     parse_iso_utc,
     rows_with_vwc,
 )
 
-from oracles import naive_csv_line, naive_query, naive_store_last_seqs
+from oracles import (
+    naive_csv_line,
+    naive_json_export,
+    naive_query,
+    naive_store_last_seqs,
+    naive_xml_export,
+)
 
 T0 = 1700000000  # mid-partition UTC instant
 DAY0 = 19675 * 86400  # 2023-11-14T00:00:00Z, the UTC midnight before T0
@@ -644,6 +652,31 @@ class TestExport:
         text = data.decode().split("\n")[1].split(",")[6]
         assert float(text) == value
         assert text == repr(value)
+
+
+# Ids that JSON or XML must escape, and one letter that ASCII cannot hold;
+# floats that neither writes as their repr, or whose repr is easy to get wrong.
+markup_profiles = st.sampled_from(["p1", "p2"]) | st.text(
+    st.sampled_from("p&<>\"'\\ \n\r\t\u00e9"), min_size=1, max_size=5)
+special_floats = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+                                  3.0, 1e16]) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.builds(StoredRow, markup_profiles, st.integers(1, 200),
+                               st.sampled_from(list(Channel)), special_floats, node_ts,
+                               st.integers(1, 2**40), node_ts, st.none() | special_floats),
+                     max_size=6))
+@example(rows=[])
+def test_json_and_xml_exports_match_naive_oracles(rows):
+    for exporter, oracle in ((export_json, naive_json_export), (export_xml, naive_xml_export)):
+        try:
+            expected = oracle(rows)
+        except Exception as e:
+            with pytest.raises(type(e)):
+                exporter(rows)
+        else:
+            assert exporter(rows) == expected
 
 
 class TestRowsWithVwc:
