@@ -111,6 +111,17 @@ def _cal_from_config(cfg: dict, model_path: str | None) -> core.CalibrationModel
     return core.FIELD_CALIBRATION
 
 
+def _report_skipped(skipped: dict[str, int]) -> None:
+    """Name on stderr the partitions whose reads skipped lines that are no
+    rows, and how many: five at most, then how many more, so that a
+    supervisor's unread stderr pipe stays small."""
+    named = sorted((path, n) for path, n in skipped.items() if n > 0)
+    for path, n in named[:5]:
+        print(f"skipped {n} line(s) that are no rows: {path}", file=sys.stderr)
+    if len(named) > 5:
+        print(f"and {len(named) - 5} more partition(s) with skipped lines", file=sys.stderr)
+
+
 def cmd_serve(args) -> int:
     site = _load_config(args.config).get("site", args.site)
     try:
@@ -118,15 +129,18 @@ def cmd_serve(args) -> int:
     except BindFailure as e:
         print(f"bind failed: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    at_start = dict(gw.store.skipped)
     # SIGTERM stops the gateway as SIGINT does: at once, as KeyboardInterrupt.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         print("listening on %s:%d" % gw.bound_addr, file=sys.stderr, flush=True)
+        _report_skipped(at_start)
         gw.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         gw.server_close()
+    _report_skipped({p: n - at_start.get(p, 0) for p, n in gw.store.skipped.items()})
     print(f"shutdown, counters={gw.counters()}", file=sys.stderr)
     return EXIT_OK
 
@@ -260,7 +274,9 @@ def _is_number(tok: str) -> bool:
 def _query_args(store: Store, args) -> list[StoredRow]:
     start = parse_instant(args.start) if args.start else None
     end = parse_instant(args.end) if args.end else None
-    return store.query(profile_id=args.profile, start_ts=start, end_ts=end)
+    rows = store.query(profile_id=args.profile, start_ts=start, end_ts=end)
+    _report_skipped(store.skipped)
+    return rows
 
 
 def cmd_export(args) -> int:

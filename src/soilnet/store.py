@@ -1,8 +1,9 @@
 """Append-only time-series storage partitioned by profile and UTC day,
 with range queries and bit-exact CSV/JSON/XML export. One encoder,
-``_csv_line``, writes every CSV row, to a partition or an export alike.
-Each exporter is one per-row template over ``_row_values``, joined once:
-JSON gives the bytes of ``json.dumps(records, indent=2)``, XML those of
+``_csv_line``, writes every CSV row, to a partition or an export alike,
+and one reader, ``_rows``, its inverse, reads every partition. Each
+exporter is one per-row template over ``_row_values``, joined once: JSON
+gives the bytes of ``json.dumps(records, indent=2)``, XML those of
 ElementTree's indented ``<readings>`` tree.
 
 On-disk layout: {root}/{profile_id}/{YYYY-MM-DD}.csv, one header line per
@@ -12,6 +13,11 @@ on, so a query reads only the partitions its window overlaps; a receive
 day would bound nothing, since a buffered node can deliver rows days
 late. Stores written when partitions were keyed by receive day must be
 rebuilt: their windowed queries can miss rows whose two days differ.
+
+A row is a line that ``_csv_line`` could have written. Any other line,
+another program's or damaged bytes, is skipped: ``Store.skipped`` counts
+it per partition, for the CLI to name on stderr, and its partition gets
+no checkpoint entry, so that each start counts it again.
 
 A final line without its newline is a torn write (a crash or a failed
 write in mid-append): readers ignore it, and every append cuts it off
@@ -45,10 +51,9 @@ one by hand, delete the checkpoint.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import fcntl
 import functools
-import io
 import json
 import os
 import re
@@ -58,7 +63,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from soilnet.core import CalibrationModel, Channel, RawReading, ZeroVoltage, apply_calibration
 
@@ -109,6 +113,8 @@ def _date_start(date: str) -> int:
     return _strptime_utc(date + "T00:00:00Z")
 
 
+# Cached: the 8 streams of a stored node tick share its timestamp.
+@functools.lru_cache(maxsize=1024)
 def parse_iso_utc(s: str) -> int:
     """Unix seconds of a YYYY-MM-DDTHH:MM:SSZ (UTC) string, the inverse of
     ``iso_utc``. The canonical form is read as a cached date plus
@@ -154,15 +160,8 @@ class StoredRow:
 
     @classmethod
     def from_reading(cls, reading: RawReading, recv_timestamp: int) -> "StoredRow":
-        return cls(
-            profile_id=reading.profile_id,
-            depth_cm=reading.depth_cm,
-            channel=reading.channel,
-            value=reading.value,
-            timestamp=reading.timestamp,
-            seq=reading.seq,
-            recv_timestamp=recv_timestamp,
-        )
+        return cls(reading.profile_id, reading.depth_cm, reading.channel, reading.value,
+                   reading.timestamp, reading.seq, recv_timestamp)
 
 
 def _row_values(row: StoredRow) -> tuple:
@@ -211,6 +210,8 @@ class Store:
         self._paths: dict[tuple[str, int], str] = {}
         # Per partition path, its checkpoint entry as this instance knows it.
         self._covered: dict[str, _Covered] = {}
+        # Per partition path read, the lines of it that its last read skipped.
+        self.skipped: dict[str, int] = {}
         os.makedirs(root, exist_ok=True)
 
     def append(self, row: StoredRow) -> None:
@@ -277,10 +278,7 @@ class Store:
     def profiles(self) -> list[str]:
         if not os.path.isdir(self.root):
             return []
-        return sorted(
-            d for d in os.listdir(self.root)
-            if os.path.isdir(os.path.join(self.root, d))
-        )
+        return sorted(e.name for e in os.scandir(self.root) if e.is_dir())
 
     def _partition_files(self, profile_id: str, first_day: int | None = None,
                          last_day: int | None = None) -> list[str]:
@@ -332,21 +330,13 @@ class Store:
         for pid in targets:
             for path in self._partition_files(pid, first_day, last_day):
                 with open(path, "rb") as f:
-                    fields = _fields(f.read(), 0, EXPORT_FIELDS)
-                for ts, recv, profile, depth, chan, seq, value, vwc in fields:
-                    ts = parse_iso_utc(ts)
-                    if start_ts is not None and ts < start_ts:
-                        continue
-                    if end_ts is not None and ts >= end_ts:
-                        continue
-                    depth = int(depth)
-                    if depths is not None and depth not in depths:
-                        continue
-                    chan = Channel(chan)
-                    if channels is not None and chan not in channels:
-                        continue
-                    rows.append(StoredRow(profile, depth, chan, float(value), ts, int(seq),
-                                          parse_iso_utc(recv), float(vwc) if vwc else None))
+                    found, self.skipped[path] = _rows(f.read(), 0)
+                for fields in found:
+                    _, depth, chan, _, ts, _, _, _ = fields
+                    if ((start_ts is None or ts >= start_ts) and (end_ts is None or ts < end_ts)
+                            and (depths is None or depth in depths)
+                            and (channels is None or chan in channels)):
+                        rows.append(StoredRow(*fields))
         rows.sort(key=lambda r: (r.timestamp, r.profile_id, r.depth_cm,
                                  r.channel.value, r.seq))
         return rows
@@ -364,10 +354,8 @@ class Store:
                 if seq > out.get(key, 0):
                     out[key] = seq
         if read:
-            try:
+            with contextlib.suppress(OSError):
                 self._save()
-            except OSError:
-                pass
         return out
 
     def checkpoint(self) -> None:
@@ -397,7 +385,9 @@ class Store:
                 st = os.stat(path)
                 if (entry is None or entry.size != st.st_size
                         or entry.stat != (st.st_mtime_ns, st.st_ino)):
-                    entry = _read_covered(path, entry)
+                    # A partition with skipped lines is read whole, to count them all.
+                    entry, self.skipped[path] = _read_covered(
+                        path, None if self.skipped.get(path) else entry)
                     read = True
                 covered[path] = entry
         self._covered = covered
@@ -414,9 +404,10 @@ class Store:
         0.01 ms.)"""
         partitions: dict[str, dict] = {}
         for path, e in self._covered.items():
-            pdir, name = os.path.split(path)
-            partitions.setdefault(os.path.basename(pdir), {})[name] = [
-                e.size, *e.stat, e.crc, [[*key, seq] for key, seq in e.seqs.items()]]
+            if not self.skipped.get(path):  # else each start reads it, to count its lines
+                pdir, name = os.path.split(path)
+                partitions.setdefault(os.path.basename(pdir), {})[name] = [
+                    e.size, *e.stat, e.crc, [[*key, seq] for key, seq in e.seqs.items()]]
         body = json.dumps({"format": _CHECKPOINT_FORMAT, "partitions": partitions},
                           separators=(",", ":")).encode("ascii")
         path = os.path.join(self.root, CHECKPOINT)
@@ -424,20 +415,15 @@ class Store:
         try:
             with open(tmp, "wb") as f:
                 f.write(b"%08x\n" % zlib.crc32(body) + body)
-            try:
+            with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
-            except FileNotFoundError:
-                pass
             os.replace(tmp, path)
         except OSError:
-            try:
+            with contextlib.suppress(OSError):
                 os.remove(tmp)
-            except OSError:
-                pass
             raise
 
 
-_SEQ_FIELDS = ("profile", "depth_cm", "channel", "seq")
 _CHECKPOINT_FORMAT = 1
 
 
@@ -472,11 +458,12 @@ def _load_checkpoint(root: str) -> dict[tuple[str, str], _Covered]:
         return {}
 
 
-def _read_covered(path: str, entry: _Covered | None) -> _Covered:
-    """The checkpoint entry of the partition file ``path``, from its bytes:
-    only those past ``entry`` when its first bytes still have the length
-    and crc32 that ``entry`` records, else all of them. (Not the inode: a
-    partition deleted and written again often gets the old one back.)"""
+def _read_covered(path: str, entry: _Covered | None) -> tuple[_Covered, int]:
+    """The checkpoint entry of the partition file ``path``, from its bytes,
+    and how many lines of them are no rows: only those past ``entry`` when
+    its first bytes still have the length and crc32 that ``entry`` records,
+    else all of them. (Not the inode: a partition deleted and written again
+    often gets the old one back.)"""
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
         data = f.read()
@@ -484,34 +471,45 @@ def _read_covered(path: str, entry: _Covered | None) -> _Covered:
     if (entry is not None and entry.size <= len(data)
             and zlib.crc32(memoryview(data)[:entry.size]) == entry.crc):
         start, crc, seqs = entry.size, entry.crc, dict(entry.seqs)
-    for profile, depth, chan, seq in _fields(data, start, _SEQ_FIELDS):
-        key = (profile, int(depth), chan)
-        seq = int(seq)
+    rows, skipped = _rows(data, start)
+    for profile, depth, chan, _, _, seq, _, _ in rows:
+        key = (profile, depth, chan.value)
         if seq > seqs.get(key, 0):
             seqs[key] = seq
     end = data.rfind(b"\n") + 1
     return _Covered(end, zlib.crc32(memoryview(data)[start:end], crc), seqs,
-                    (st.st_mtime_ns, st.st_ino))
+                    (st.st_mtime_ns, st.st_ino)), skipped
 
 
-def _fields(data: bytes, start: int, names: tuple[str, ...]):
-    """Yield, per data row of the partition bytes ``data`` that begins at
-    or after byte ``start``, the tuple of its fields ``names``, located
-    once from the header. Blank lines and a final line without its
-    newline (a torn write) are no rows."""
-    head = data.find(b"\n") + 1
-    if not head:
-        return
-    header = next(csv.reader([data[:head].decode("ascii")]))
-    pick = itemgetter(*(header.index(name) for name in names))
-    body = data[max(start, head):data.rfind(b"\n") + 1].decode("ascii")
-    for fields in csv.reader(io.StringIO(body)):
-        if fields:
-            yield pick(fields)
+def _rows(data: bytes, start: int) -> tuple[list[tuple], int]:
+    """The rows of the partition bytes ``data`` from byte ``start`` (0: the
+    header) to the last newline, each its fields in StoredRow order, and
+    how many lines are no rows, a first line other than the header too."""
+    end = data.rfind(b"\n") + 1
+    skipped = 0
+    if start == 0 and end:
+        start = data.find(b"\n") + 1
+        skipped = data[:start] != _HEADER
+    lines = data[start:end - 1].decode("latin-1").split("\n") if start < end else []
+    rows = []
+    for line in lines:
+        try:
+            ts, recv, rest = line.split(",", 2)
+            pid, depth, chan, seq, value, vwc = rest.rsplit(",", 5)
+            profile = pid[1:-1].replace('""', '"') if pid[:1] == '"' else pid
+            t = parse_iso_utc(ts)
+            fields = (profile, int(depth), _CHANNELS[chan], float(value), t, int(seq),
+                      t if recv == ts else parse_iso_utc(recv), float(vwc) if vwc else None)
+            if line.isascii() and _csv_field(profile) == pid:
+                rows.append(fields)
+        except (ValueError, KeyError):
+            pass
+    return rows, skipped + len(lines) - len(rows)
 
 
 _HEADER = (",".join(EXPORT_FIELDS) + "\n").encode("ascii")
 _HEADER_CRC = zlib.crc32(_HEADER)
+_CHANNELS = {c.value: c for c in Channel}
 
 
 def _write_all(fd: int, data: bytes) -> None:

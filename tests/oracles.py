@@ -226,11 +226,13 @@ def naive_last_seqs(rows):
     return out
 
 
-def naive_store_last_seqs(root):
+def naive_store_last_seqs(root, foreign=frozenset()):
     """Highest seq per (profile, depth, channel value) among the rows of
     every partition file under ``root`` ({root}/{profile}/*.csv), each
-    read whole with csv.DictReader; a final line without its newline (a
-    torn write) is no row."""
+    read whole with csv.DictReader after its first line, the header; a
+    final line without its newline (a torn write) is no row, and nor is a
+    line in ``foreign``, the lines that another program wrote (one of
+    which may stand in the header's place)."""
     out = {}
     if not os.path.isdir(root):
         return out
@@ -241,10 +243,11 @@ def naive_store_last_seqs(root):
         for name in sorted(os.listdir(pdir)):
             if not name.endswith(".csv"):
                 continue
-            with open(os.path.join(pdir, name), newline="", encoding="ascii") as f:
-                lines = f.read().split("\n")
-            complete = "\n".join(lines[:-1])  # the part after the last newline is torn or empty
-            for rec in csv.DictReader(io.StringIO(complete)):
+            with open(os.path.join(pdir, name), "rb") as f:
+                lines = f.read().split(b"\n")
+            # The part after the last newline is torn or empty.
+            complete = b"\n".join(line for line in lines[1:-1] if line not in foreign)
+            for rec in csv.DictReader(io.StringIO(complete.decode("ascii")), NAIVE_CSV_FIELDS):
                 # Two rows run together (an append after a torn line that
                 # was not cut) read as one row with too many fields.
                 assert None not in rec, f"{profile}/{name}: a row longer than its header"

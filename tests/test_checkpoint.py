@@ -5,14 +5,16 @@ of the partitions (``naive_store_last_seqs``).
 A Hypothesis state machine mixes appends through two Store instances,
 checkpoint saves, gateway-like restarts that read last_seqs, torn tails,
 removed partitions, partitions rewritten with other rows of the same
-byte length, writes that fail half-way, and a checkpoint that is deleted,
-stale, truncated, not JSON, byte-flipped or copied from another store.
+byte length, writes that fail half-way, lines that another program
+appends, and a checkpoint that is deleted, stale, truncated, not JSON,
+byte-flipped or copied from another store.
 Both instances go on after a torn tail or a failed write, either's own
 or the other's, as a gateway and an offline backfill on one store would:
 each append must cut what it finds torn. After every step a fresh
 Store's last_seqs is compared with the oracle; the checkpoint that this
 check may rewrite is then put back, so that stale states last across
-steps.
+steps. The oracle leaves out the lines the machine made another program
+append: no Store wrote them, so they take no part in last_seqs.
 """
 
 import errno
@@ -63,6 +65,13 @@ def put(path, data):
 
 JUNK = [b"", b"not json\n", b"00000000\n{}", b"\xff" * 40]
 
+# Lines no Store could write. Each is appended after whatever torn bytes
+# the partition ends with, which cannot make it a row: a blank line could
+# (after all of a row but its newline), so there is none.
+FOREIGN = [b"garbage", b"\xff", b"a,b,c,d,e,f,g,h",
+           b"2023-11-14T00:01:00Z,2023-11-14T00:01:00Z,p1,5,moisture,x,1.25,",
+           b'2023-11-14T00:01:00Z,2023-11-14T00:01:00Z,",5,moisture,7,1.25,']
+
 
 def spoil(old, kind, at, step):
     """Checkpoint bytes ``old`` cut at place ``at``, or with the digit there
@@ -85,6 +94,7 @@ class CheckpointMachine(RuleBasedStateMachine):
         self.root = tempfile.mkdtemp()
         self.stores = [Store(self.root), Store(self.root)]
         self.seen = []  # every checkpoint's bytes so far, for a stale copy
+        self.foreign = set()  # every line another program wrote, with its torn prefix
 
     def teardown(self):
         shutil.rmtree(self.root)
@@ -114,7 +124,7 @@ class CheckpointMachine(RuleBasedStateMachine):
     def start(self, i):
         # As a gateway starts: a new Store whose last_seqs seeds dedup.
         self.stores[i] = Store(self.root)
-        assert self.stores[i].last_seqs() == naive_store_last_seqs(self.root)
+        assert self.stores[i].last_seqs() == naive_store_last_seqs(self.root, self.foreign)
 
     @rule(i=st.integers(0, 1), readings=readings, cut=st.integers(0, 10**6))
     def failed_write(self, i, readings, cut):
@@ -140,6 +150,17 @@ class CheckpointMachine(RuleBasedStateMachine):
             f.write(b"2023-11-14T00:01:00Z,2023-11-14T00:01:00Z,p1,5,moisture,99,1.25,\n"[:cut])
 
     @precondition(lambda self: self.partitions())
+    @rule(data=st.data(), line=st.sampled_from(FOREIGN))
+    def foreign_line(self, data, line):
+        # Another program appends a line, without cutting a torn tail first.
+        path = data.draw(st.sampled_from(self.partitions()))
+        with open(path, "rb") as f:
+            torn = f.read().rpartition(b"\n")[2]
+        with open(path, "ab") as f:
+            f.write(line + b"\n")
+        self.foreign.add(torn + line)
+
+    @precondition(lambda self: self.partitions())
     @rule(data=st.data())
     def remove_partition(self, data):
         os.remove(data.draw(st.sampled_from(self.partitions())))
@@ -154,7 +175,7 @@ class CheckpointMachine(RuleBasedStateMachine):
             lines = f.read().split(b"\n")
         for k in range(1, len(lines) - 1):
             fields = lines[k].split(b",")
-            if len(fields) == 8:
+            if len(fields) == 8 and lines[k] not in self.foreign:
                 n = len(fields[5])
                 fields[5] = b"%d" % data.draw(st.integers(10 ** (n - 1), 10 ** n - 1))
                 lines[k] = b",".join(fields)
@@ -184,7 +205,7 @@ class CheckpointMachine(RuleBasedStateMachine):
     @invariant()
     def last_seqs_is_the_oracle(self):
         before = read_or_none(self.checkpoint_path)
-        assert Store(self.root).last_seqs() == naive_store_last_seqs(self.root)
+        assert Store(self.root).last_seqs() == naive_store_last_seqs(self.root, self.foreign)
         if read_or_none(self.checkpoint_path) != before:
             put(self.checkpoint_path, before)
 

@@ -571,3 +571,48 @@ class TestServePipeline:
         rc = run_cli(["simulate", "--offline", "--duration", "1h",
                       "--data-root", str(blocked / "data")])
         assert rc == 2
+
+
+# Lines another program appended to a partition; each used to make query,
+# last_seqs and checkpoint() raise, and so every command that reads the
+# store: a gateway could not start.
+FOREIGN_LINES = {
+    "garbage": b"garbage",
+    "not-ascii": b"\xff",
+    "letters": b"a,b,c,d,e,f,g,h",
+    "seq-x": b"2023-11-14T22:13:20Z,2023-11-14T22:13:20Z,p1,5,moisture,x,1.3,",
+}
+
+
+@pytest.mark.parametrize("line", FOREIGN_LINES.values(), ids=FOREIGN_LINES.keys())
+def test_foreign_line_is_skipped_and_named(tmp_path, line):
+    clean, dirty = str(tmp_path / "clean"), str(tmp_path / "dirty")
+    for root in (clean, dirty):
+        assert run_cli(["simulate", "--offline", "--data-root", root, "--nodes", "2",
+                        "--duration", "6h", "--seed", "5", "--start", "1700000000"]) == 0
+    partition = os.path.join(dirty, "p1", "2023-11-14.csv")
+    with open(partition, "ab") as f:
+        f.write(line + b"\n")
+    named = f"skipped 1 line(s) that are no rows: {partition}\n"
+
+    def soilnet(*argv):
+        return subprocess.run([sys.executable, "-m", "soilnet.cli", *argv], env=SRC_ENV,
+                              capture_output=True, text=True, timeout=60)
+
+    for command in ("export", "report"):
+        want, got = soilnet(command, "--data-root", clean), soilnet(command, "--data-root", dirty)
+        assert (want.returncode, want.stderr) == (0, "")
+        assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, named)
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "soilnet.cli", "serve",
+         "--listen", "127.0.0.1:0", "--data-root", dirty],
+        stderr=subprocess.PIPE, text=True, env=SRC_ENV,
+    )
+    with proc.stderr:
+        assert re.fullmatch(r"listening on 127\.0\.0\.1:\d+\n", proc.stderr.readline())
+        assert proc.stderr.readline() == named
+        proc.send_signal(signal.SIGTERM)
+        err = proc.stderr.read()
+    assert proc.wait(timeout=10) == 0
+    assert err.startswith("shutdown, counters={'accepted': 0,")

@@ -35,6 +35,7 @@ from soilnet.store import (
 from oracles import (
     naive_csv_line,
     naive_json_export,
+    naive_last_seqs,
     naive_query,
     naive_store_last_seqs,
     naive_xml_export,
@@ -262,13 +263,13 @@ class TestCheckpoint:
         """last_seqs of a new Store, and the (file name, first byte) of
         each partition read it made."""
         calls = []
-        real = store_module._fields
+        real = store_module._rows
 
-        def spy(data, start, names):
+        def spy(data, start):
             calls.append((data[:9], start))
-            return real(data, start, names)
+            return real(data, start)
 
-        with mock.patch.object(store_module, "_fields", spy):
+        with mock.patch.object(store_module, "_rows", spy):
             seqs = Store(root).last_seqs()
         return seqs, calls
 
@@ -556,6 +557,87 @@ def test_partitions_removed_between_batches_are_recreated(store, tmp_path):
     assert (root / "p2" / "2023-11-14.csv").read_bytes() == HEADER + naive_csv_line(later[2])
     assert (root / "p1" / "2023-11-15.csv").read_bytes() == (
         HEADER + naive_csv_line(make_row(seq=2, ts=T0 + 86400)) + naive_csv_line(later[0]))
+
+
+# Lines that no Store could write, as another program might append them:
+# garbage, blank lines, a second header, rows cut short or run long, rows
+# holding a byte that is not ASCII, and rows with one field spoiled.
+GOOD_LINE = b"2023-11-14T22:13:20Z,2023-11-14T22:13:20Z,p1,5,moisture,1,1.3,"
+SPOILED_FIELDS = [
+    (0, b"x"), (0, b"2023-02-30T00:00:00Z"), (1, b""), (1, b"22:13:20"), (2, b'"'), (2, b'a"b'),
+    (2, b'"a'), (2, "p\u00e9".encode()), (3, b"x"), (3, b"1.5"), (4, b"wind"), (4, b""),
+    (5, b"x"), (5, b""), (6, b"one"), (6, b""), (7, b"x"),
+]
+
+
+def _spoil_field(k, bad):
+    fields = GOOD_LINE.split(b",")
+    fields[k] = bad
+    return b",".join(fields)
+
+
+FOREIGN_LINES = [
+    b"", b"\r", b"garbage", b"\xff", b"a,b,c,d,e,f,g,h", HEADER[:-1], HEADER[:-1] + b"x",
+    GOOD_LINE + b",x", *(b",".join(GOOD_LINE.split(b",")[:k]) for k in range(1, 8)),
+    *(_spoil_field(k, bad) for k, bad in SPOILED_FIELDS),
+]
+foreign_lines = st.sampled_from(FOREIGN_LINES) | st.builds(
+    lambda k: GOOD_LINE[:k] + b"\xff" + GOOD_LINE[k:], st.integers(0, len(GOOD_LINE)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(
+    st.tuples(st.just("store"), st.lists(st.tuples(csv_profiles, st.sampled_from(list(Channel)),
+                                                   node_ts), min_size=1, max_size=4))
+    | st.tuples(st.just("foreign"), st.tuples(csv_profiles, st.integers(0, 3), foreign_lines))
+    | st.tuples(st.just("checkpoint"), st.none()),
+    max_size=12))
+# Every listed line between two appends, then one as a partition's first line.
+@example(ops=[("store", [("p1", Channel.MOISTURE_VOLTAGE, T0)]),
+              *(("foreign", ("p1", 0, line)) for line in FOREIGN_LINES),
+              ("store", [("p1", Channel.MOISTURE_VOLTAGE, T0 + 1)]),
+              ("foreign", ("p2", 1, b"garbage")), ("checkpoint", None),
+              ("store", [("p2", Channel.TEMPERATURE_C, T0 + 86400)])])
+def test_foreign_lines_are_skipped_and_counted(ops):
+    # A line no Store wrote stops no read: each is skipped and counted, and
+    # every row a Store wrote is read back exactly once. A foreign line
+    # that is a partition's first line takes the header's place, so a
+    # header there is no foreign line.
+    with tempfile.TemporaryDirectory() as root:
+        store = Store(root)
+        written, injected = [], 0
+        for op, arg in ops:
+            if op == "store":
+                rows = [StoredRow(p, 5, ch, 1.25, ts, len(written) + i + 1, ts)
+                        for i, (p, ch, ts) in enumerate(arg)]
+                store.append_rows(rows)
+                written += rows
+            elif op == "checkpoint":
+                store.checkpoint()
+            else:
+                pid, day, line = arg
+                path = os.path.join(root, pid, iso_utc(DAY0 + day * 86400)[:10] + ".csv")
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                if line == HEADER[:-1] and not os.path.exists(path):
+                    continue
+                with open(path, "ab") as f:
+                    f.write(line + b"\n")
+                injected += 1
+        expected = naive_last_seqs(written)
+        reader = Store(root)
+        rows = reader.query()
+        assert rows == naive_query(written)
+        assert sum(reader.skipped.values()) == injected
+        for fmt in ("csv", "json", "xml"):
+            export(rows, fmt)
+        assert store.last_seqs() == expected
+        store.checkpoint()
+        assert sum(store.skipped.values()) == injected
+        # A partition with skipped lines has no checkpoint entry, so every
+        # start reads it, and counts its lines, again.
+        again = Store(root)
+        assert again.last_seqs() == expected
+        assert sum(again.skipped.values()) == injected
 
 
 class TestSkewFlag:
