@@ -8,8 +8,6 @@ than raised.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from bisect import bisect_left
@@ -241,11 +239,8 @@ def report_to_json(doc: dict) -> bytes:
 
 def plot_series_csv(rows: list[StoredRow], channel: Channel) -> bytes:
     """Plot-ready per-depth time series for one channel:
-    timestamp,depth_cm,value rows in query order."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["timestamp", "depth_cm", "value"])
-    for row in rows:
-        if row.channel is channel:
-            w.writerow([iso_utc(row.timestamp), row.depth_cm, repr(row.value)])
-    return buf.getvalue().encode("ascii")
+    timestamp,depth_cm,value rows in query order. No field needs CSV
+    quoting: each is a date, an int or a float repr."""
+    return ("timestamp,depth_cm,value\n" + "".join(
+        f"{iso_utc(row.timestamp)},{row.depth_cm},{row.value!r}\n"
+        for row in rows if row.channel is channel)).encode("ascii")

@@ -173,7 +173,7 @@ def cmd_simulate(args) -> int:
     profiles = _profiles_from_config(cfg, args)
     cal = _cal_from_config(cfg, args.model)
     duration_s = parse_duration(args.duration)
-    start_ts = parse_instant(args.start) if args.start else int(time.time()) // 86400 * 86400
+    start_ts = parse_instant(args.start) if args.start else int(time.time()) // DAY_S * DAY_S
     site = cfg.get("site", args.site)
 
     if args.offline:

@@ -1,10 +1,10 @@
 """Append-only time-series storage partitioned by profile and UTC day,
 with range queries and bit-exact CSV/JSON/XML export. One encoder,
 ``_csv_line``, writes every CSV row, to a partition or an export alike,
-and one reader, ``_rows``, its inverse, reads every partition. Each
-exporter is one per-row template over ``_row_values``, joined once: JSON
-gives the bytes of ``json.dumps(records, indent=2)``, XML those of
-ElementTree's indented ``<readings>`` tree.
+and one reader, ``_rows``, reads every partition. Each exporter is one
+per-row template over ``_row_values``, joined once: JSON gives the bytes
+of ``json.dumps(records, indent=2)``, XML those of ElementTree's indented
+``<readings>`` tree.
 
 On-disk layout: {root}/{profile_id}/{YYYY-MM-DD}.csv, one header line per
 file, rows appended in receive order and never rewritten. A row's
@@ -14,10 +14,11 @@ day would bound nothing, since a buffered node can deliver rows days
 late. Stores written when partitions were keyed by receive day must be
 rebuilt: their windowed queries can miss rows whose two days differ.
 
-A row is a line that ``_csv_line`` could have written. Any other line,
-another program's or damaged bytes, is skipped: ``Store.skipped`` counts
-it per partition, for the CLI to name on stderr, and its partition gets
-no checkpoint entry, so that each start counts it again.
+A row is an ASCII line of ``_csv_line``'s eight fields, with a known
+channel, the profile field ``_csv_field`` writes for its id, and dates
+and numbers that ``parse_iso_utc``, ``int`` and ``float`` accept, in
+canonical form or not. Any other line is skipped, and counted per
+partition in ``Store.skipped`` and in the partition's checkpoint entry.
 
 A final line without its newline is a torn write (a crash or a failed
 write in mid-append): readers ignore it, and every append cuts it off
@@ -28,20 +29,20 @@ file system: a gateway and ``simulate --offline``, say.
 
 Checkpoint: {root}/last_seqs.json (no partition, as its name does not end
 in .csv) records, per partition, the bytes up to the last newline that a
-scan or an appending Store has seen: their length, the file's
-st_mtime_ns and st_ino when it held just them, their crc32, and the
-highest seq of each stream among them. ``last_seqs`` and
-``Store.checkpoint`` run one scan, which stats every partition, trusts an
-entry whose file still has that length, mtime and inode, reads only the
-bytes past the entry in a file whose first bytes still have that length
-and crc32, and every other file whole. So a gateway start stats the
-partitions instead of reading every row. The file is a cache, guarded by
-a crc32 of its own: a missing, stale, corrupt or foreign one costs a full
-read, never a wrong seq, and deleting it is always safe. Appending Stores
-keep their entries in memory, for ``Store.checkpoint`` to save
-(``simulate --offline`` at its end, the gateway every minute and when it
-stops); an entry whose file another writer appended to is resumed past
-those rows by the next scan.
+scan or an appending Store has seen: their length, the file's st_mtime_ns
+and st_ino when it held just them, their crc32, how many of their lines
+are no rows, and the highest seq of each stream among them. ``last_seqs``
+and ``Store.checkpoint`` run one scan, which stats every partition,
+trusts an entry whose file still has that length, mtime and inode, reads
+only the bytes past the entry in a file whose first bytes still have that
+length and crc32, and every other file whole. So a gateway start stats
+the partitions instead of reading every row. The file is a cache, guarded
+by a crc32 of its own: a missing, stale, corrupt, foreign or older-format
+one costs a full read, never a wrong seq, and deleting it is always safe.
+Appending Stores keep their entries in memory, for ``Store.checkpoint``
+to save (``simulate --offline`` at its end, the gateway every minute and
+when it stops); an entry whose file another writer appended to is resumed
+past those rows by the next scan.
 The validator assumes that every write gives the file a new mtime, as
 file systems with fine-grained timestamps do; where the clock is coarse,
 a partition deleted and rewritten to the same length within one tick of
@@ -210,7 +211,7 @@ class Store:
         self._paths: dict[tuple[str, int], str] = {}
         # Per partition path, its checkpoint entry as this instance knows it.
         self._covered: dict[str, _Covered] = {}
-        # Per partition path read, the lines of it that its last read skipped.
+        # Per partition path read or vouched for, its lines that are no rows.
         self.skipped: dict[str, int] = {}
         os.makedirs(root, exist_ok=True)
 
@@ -259,7 +260,7 @@ class Store:
                     _write_all(fd, _HEADER)
                     size = len(_HEADER)
                 if size == len(_HEADER):  # no row yet (its bytes are checked at save)
-                    entry = self._covered[path] = _Covered(size, _HEADER_CRC, {}, None)
+                    entry = self._covered[path] = _Covered(size, _HEADER_CRC, {}, None, 0)
                 else:
                     entry = self._covered.get(path)
                 _write_all(fd, data)
@@ -367,11 +368,11 @@ class Store:
             self._save()
 
     def _scan(self) -> bool:
-        """Vouch for an entry of every partition and keep them as this
-        instance's. Its own entry, or else the saved one, is trusted while
-        the file's size, mtime and inode match it (an append clears that
-        stat); any other is resumed or rebuilt by ``_read_covered``.
-        Returns whether it read any partition."""
+        """Vouch for an entry of every partition, keep them as this
+        instance's and their counts in ``skipped``. Its own entry, or else
+        the saved one, is trusted while the file's size, mtime and inode
+        match it (an append clears that stat); any other is resumed or
+        rebuilt by ``_read_covered``. Returns whether it read any partition."""
         saved = None
         covered = {}
         read = False
@@ -385,11 +386,10 @@ class Store:
                 st = os.stat(path)
                 if (entry is None or entry.size != st.st_size
                         or entry.stat != (st.st_mtime_ns, st.st_ino)):
-                    # A partition with skipped lines is read whole, to count them all.
-                    entry, self.skipped[path] = _read_covered(
-                        path, None if self.skipped.get(path) else entry)
+                    entry = _read_covered(path, entry)
                     read = True
                 covered[path] = entry
+                self.skipped[path] = entry.skipped
         self._covered = covered
         return read
 
@@ -404,10 +404,9 @@ class Store:
         0.01 ms.)"""
         partitions: dict[str, dict] = {}
         for path, e in self._covered.items():
-            if not self.skipped.get(path):  # else each start reads it, to count its lines
-                pdir, name = os.path.split(path)
-                partitions.setdefault(os.path.basename(pdir), {})[name] = [
-                    e.size, *e.stat, e.crc, [[*key, seq] for key, seq in e.seqs.items()]]
+            pdir, name = os.path.split(path)
+            partitions.setdefault(os.path.basename(pdir), {})[name] = [
+                e.size, *e.stat, e.crc, e.skipped, [[*key, seq] for key, seq in e.seqs.items()]]
         body = json.dumps({"format": _CHECKPOINT_FORMAT, "partitions": partitions},
                           separators=(",", ":")).encode("ascii")
         path = os.path.join(self.root, CHECKPOINT)
@@ -424,19 +423,20 @@ class Store:
             raise
 
 
-_CHECKPOINT_FORMAT = 1
+_CHECKPOINT_FORMAT = 2
 
 
 @dataclass(slots=True)
 class _Covered:
     """A partition's checkpoint entry: its first ``size`` bytes (up to a
-    newline), their ``crc``, the highest seq of each stream among them,
-    and ``stat``, the (st_mtime_ns, st_ino) of the file when it held just
-    those bytes, or None once an append has changed it since."""
+    newline), their ``crc``, the highest seq of each stream and the count
+    of lines that are no rows among them, and ``stat``, the (st_mtime_ns,
+    st_ino) of the file when it held just those bytes, None after an append."""
     size: int
     crc: int
     seqs: dict[tuple[str, int, str], int]
     stat: tuple[int, int] | None
+    skipped: int
 
 
 def _load_checkpoint(root: str) -> dict[tuple[str, str], _Covered]:
@@ -451,40 +451,40 @@ def _load_checkpoint(root: str) -> dict[tuple[str, str], _Covered]:
         if doc["format"] != _CHECKPOINT_FORMAT:
             return {}
         return {(pid, name): _Covered(size, crc, {(p, d, c): seq for p, d, c, seq in streams},
-                                      (mtime_ns, ino))
+                                      (mtime_ns, ino), skipped)
                 for pid, files in doc["partitions"].items()
-                for name, (size, mtime_ns, ino, crc, streams) in files.items()}
+                for name, (size, mtime_ns, ino, crc, skipped, streams) in files.items()}
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return {}
 
 
-def _read_covered(path: str, entry: _Covered | None) -> tuple[_Covered, int]:
-    """The checkpoint entry of the partition file ``path``, from its bytes,
-    and how many lines of them are no rows: only those past ``entry`` when
-    its first bytes still have the length and crc32 that ``entry`` records,
-    else all of them. (Not the inode: a partition deleted and written again
-    often gets the old one back.)"""
+def _read_covered(path: str, entry: _Covered | None) -> _Covered:
+    """The checkpoint entry of the partition file ``path``, from the bytes
+    past ``entry`` if its first bytes still have the length and crc32 that
+    ``entry`` records, else from all of them. (Not the inode: a partition
+    deleted and written again often gets the old one back.)"""
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
         data = f.read()
-    start, crc, seqs = 0, 0, {}
+    start, crc, seqs, skipped = 0, 0, {}, 0
     if (entry is not None and entry.size <= len(data)
             and zlib.crc32(memoryview(data)[:entry.size]) == entry.crc):
-        start, crc, seqs = entry.size, entry.crc, dict(entry.seqs)
-    rows, skipped = _rows(data, start)
+        start, crc, seqs, skipped = entry.size, entry.crc, dict(entry.seqs), entry.skipped
+    rows, more = _rows(data, start)
     for profile, depth, chan, _, _, seq, _, _ in rows:
         key = (profile, depth, chan.value)
         if seq > seqs.get(key, 0):
             seqs[key] = seq
     end = data.rfind(b"\n") + 1
     return _Covered(end, zlib.crc32(memoryview(data)[start:end], crc), seqs,
-                    (st.st_mtime_ns, st.st_ino)), skipped
+                    (st.st_mtime_ns, st.st_ino), skipped + more)
 
 
 def _rows(data: bytes, start: int) -> tuple[list[tuple], int]:
-    """The rows of the partition bytes ``data`` from byte ``start`` (0: the
-    header) to the last newline, each its fields in StoredRow order, and
-    how many lines are no rows, a first line other than the header too."""
+    """The rows (see the module docstring) of the partition bytes ``data``
+    from byte ``start`` (0: the header) to the last newline, each its
+    fields in StoredRow order, and how many lines are no rows, a first
+    line other than the header too."""
     end = data.rfind(b"\n") + 1
     skipped = 0
     if start == 0 and end:

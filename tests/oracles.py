@@ -254,3 +254,18 @@ def naive_store_last_seqs(root, foreign=frozenset()):
                 key = (rec["profile"], int(rec["depth_cm"]), rec["channel"])
                 out[key] = max(out.get(key, 0), int(rec["seq"]))
     return out
+
+
+def naive_store_skipped(root, foreign):
+    """How many complete lines of the partition files under ``root``
+    ({root}/{profile}/*.csv) are in ``foreign``, the lines that another
+    program wrote, a file's first line too."""
+    count = 0
+    for profile in os.listdir(root):
+        pdir = os.path.join(root, profile)
+        if os.path.isdir(pdir):
+            for name in os.listdir(pdir):
+                if name.endswith(".csv"):
+                    with open(os.path.join(pdir, name), "rb") as f:
+                        count += sum(line in foreign for line in f.read().split(b"\n")[:-1])
+    return count

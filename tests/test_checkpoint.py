@@ -11,10 +11,13 @@ byte-flipped or copied from another store.
 Both instances go on after a torn tail or a failed write, either's own
 or the other's, as a gateway and an offline backfill on one store would:
 each append must cut what it finds torn. After every step a fresh
-Store's last_seqs is compared with the oracle; the checkpoint that this
-check may rewrite is then put back, so that stale states last across
-steps. The oracle leaves out the lines the machine made another program
-append: no Store wrote them, so they take no part in last_seqs.
+Store's last_seqs is compared with the oracle, and the lines it skipped
+with those of the partitions that the machine made another program
+append (``naive_store_skipped``): a count the checkpoint records must
+never be trusted for bytes it does not describe. The checkpoint that
+this check may rewrite is then put back, so that stale states last
+across steps. The oracle leaves out the foreign lines: no Store wrote
+them, so they take no part in last_seqs.
 """
 
 import errno
@@ -30,7 +33,7 @@ from soilnet import store as store_mod
 from soilnet.core import Channel
 from soilnet.store import CHECKPOINT, Store, StoredRow
 
-from oracles import naive_store_last_seqs
+from oracles import naive_store_last_seqs, naive_store_skipped
 
 DAY0 = 19675 * 86400  # 2023-11-14T00:00:00Z
 STREAMS = [(profile, depth, channel) for profile in ("p1", "p2") for depth in (5, 50)
@@ -205,7 +208,9 @@ class CheckpointMachine(RuleBasedStateMachine):
     @invariant()
     def last_seqs_is_the_oracle(self):
         before = read_or_none(self.checkpoint_path)
-        assert Store(self.root).last_seqs() == naive_store_last_seqs(self.root, self.foreign)
+        store = Store(self.root)
+        assert store.last_seqs() == naive_store_last_seqs(self.root, self.foreign)
+        assert sum(store.skipped.values()) == naive_store_skipped(self.root, self.foreign)
         if read_or_none(self.checkpoint_path) != before:
             put(self.checkpoint_path, before)
 

@@ -353,6 +353,50 @@ class TestCheckpoint:
                                side_effect=AssertionError("a partition was read")):
             assert Store(store.root).last_seqs() == expected
 
+    def test_entry_counts_its_skipped_lines(self, store):
+        # A partition holding lines that are no rows has an entry like any
+        # other, with their count: the next start reads no partition, names
+        # the count and leaves the checkpoint as it was.
+        store.append_rows([make_row(seq=1), make_row(seq=2, profile="p2"),
+                           make_row(seq=3, ts=T0 + 86400)])
+        paths = [os.path.join(store.root, "p1", "2023-11-14.csv"),
+                 os.path.join(store.root, "p1", "2023-11-15.csv"),
+                 os.path.join(store.root, "p2", "2023-11-14.csv")]
+        foreign = [b"garbage", b"\xff", b"a,b,c,d,e,f,g,h"]
+        for k, path in enumerate(paths):
+            with open(path, "ab") as f:
+                f.write(b"".join(line + b"\n" for line in foreign[:k + 1]))
+        Store(store.root).last_seqs()
+        checkpoint = os.path.join(store.root, CHECKPOINT)
+        before = os.stat(checkpoint)
+        again = Store(store.root)
+        with mock.patch.object(store_module, "_read_covered",
+                               side_effect=AssertionError("a partition was read")):
+            assert again.last_seqs() == naive_store_last_seqs(store.root, foreign)
+        assert again.skipped == {path: k + 1 for k, path in enumerate(paths)}
+        after = os.stat(checkpoint)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_entry_with_skipped_lines_is_resumed(self, store):
+        path = os.path.join(store.root, "p1", "2023-11-14.csv")
+        store.append(make_row(seq=1))
+        with open(path, "ab") as f:
+            f.write(b"garbage\n")
+        store.checkpoint()
+        covered = os.path.getsize(path)
+        Store(store.root).append(make_row(seq=2, ts=T0 + 900))
+        with open(path, "ab") as f:
+            f.write(b"\xff\n")
+        seqs, calls = self.reads(store.root)
+        assert seqs == naive_store_last_seqs(store.root, {b"garbage", b"\xff"})
+        assert calls == [(b"timestamp", covered)]
+        # That read's count, one line in the entry and one past it, is saved.
+        again = Store(store.root)
+        with mock.patch.object(store_module, "_read_covered",
+                               side_effect=AssertionError("a partition was read")):
+            again.last_seqs()
+        assert again.skipped == {path: 2}
+
     def test_altered_checkpoint_is_not_trusted(self, store, tmp_path):
         store.append_rows([make_row(seq=7)])
         store.checkpoint()
@@ -633,8 +677,8 @@ def test_foreign_lines_are_skipped_and_counted(ops):
         assert store.last_seqs() == expected
         store.checkpoint()
         assert sum(store.skipped.values()) == injected
-        # A partition with skipped lines has no checkpoint entry, so every
-        # start reads it, and counts its lines, again.
+        # The checkpoint entry of a partition with skipped lines records
+        # their count, so a start that trusts the entry counts them too.
         again = Store(root)
         assert again.last_seqs() == expected
         assert sum(again.skipped.values()) == injected
