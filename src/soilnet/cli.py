@@ -183,11 +183,8 @@ def cmd_simulate(args) -> int:
             # One batch, so one write(), per profile and node day.
             ticks = sim.tick_times(duration_s, prof.cadence_s)
             for _, day_ticks in itertools.groupby(ticks, lambda t_s: (start_ts + t_s) // DAY_S):
-                store.append_rows([
-                    StoredRow.from_reading(reading, reading.timestamp)
-                    for t_s in day_ticks
-                    for reading in sim.step(prof, fieldm, cal, t_s, start_ts)
-                ])
+                store.append_rows([reading for t_s in day_ticks
+                                   for reading in sim.step(prof, fieldm, cal, t_s, start_ts)])
         try:
             store.checkpoint()
         except OSError as e:  # a cache: the rows are stored without it
@@ -280,9 +277,10 @@ def _query_args(store: Store, args) -> list[StoredRow]:
 
 
 def cmd_export(args) -> int:
+    model = _load_model(args.model) if args.model else None  # before the query: fail fast
     rows = _query_args(Store(args.data_root), args)
-    if args.model:
-        rows = rows_with_vwc(rows, _load_model(args.model))
+    if model is not None:
+        rows = rows_with_vwc(rows, model)
     data = export(rows, args.format)
     _write_out(data, args.out)
     return EXIT_OK
@@ -297,12 +295,19 @@ def _write_out(data: bytes, out: str | None) -> None:
 
 
 def cmd_report(args) -> int:
-    store = Store(args.data_root)
-    rows = _query_args(store, args)
+    # The input files first, so that a bad one fails before the query.
+    model = _load_model(args.model) if args.model else core.FIELD_CALIBRATION
+    references = []
+    for spec_arg in args.reference or []:
+        label, _, path = spec_arg.partition("=")
+        if not path:
+            raise UsageError(f"--reference wants label=path, got {spec_arg!r}")
+        references.append((label, [(parse_instant(t), float(v))
+                                   for t, v in _read_csv_pairs(path, 1)]))
+    rows = _query_args(Store(args.data_root), args)
     if not rows:
         print("no rows in range", file=sys.stderr)
         return EXIT_RUNTIME
-    model = _load_model(args.model) if args.model else core.FIELD_CALIBRATION
     rows = rows_with_vwc(rows, model)
 
     # Sensor VWC series for reference comparison: calibrated moisture at the
@@ -313,14 +318,6 @@ def cmd_report(args) -> int:
     depth = min((r.depth_cm for r in moisture), default=None)
     sensor_series = [(r.timestamp, r.vwc_percent) for r in moisture
                      if r.depth_cm == depth and r.vwc_percent is not None]
-    references = []
-    for spec_arg in args.reference or []:
-        label, _, path = spec_arg.partition("=")
-        if not path:
-            raise UsageError(f"--reference wants label=path, got {spec_arg!r}")
-        references.append((label, [(parse_instant(t), float(v))
-                                   for t, v in _read_csv_pairs(path, 1)]))
-
     report = validation_report(rows, sensor_series, references, cadence_s=args.cadence)
     sys.stdout.write(render_report(report))
     if args.out_json:

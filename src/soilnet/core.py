@@ -27,12 +27,17 @@ def value_in_range(channel: Channel, value: float) -> bool:
     return math.isfinite(value) and lo <= value <= hi
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RawReading:
-    """One timestamped sensor sample (volts for moisture, °C for temperature).
+    """One timestamped sensor sample (volts for moisture, °C for temperature),
+    from the node to the store: the one reading record of the pipeline.
 
-    ``timestamp`` is unix seconds, UTC, second resolution. ``seq`` increases
-    strictly within each (profile_id, depth_cm, channel) stream.
+    It holds both clocks, in unix seconds, UTC, second resolution:
+    ``timestamp`` is the node's, ``recv_timestamp`` the gateway's, None
+    until the reading is received (``sim.step`` sets it to the node time, as
+    ``simulate --offline`` stores it). ``seq`` increases strictly within
+    each (profile_id, depth_cm, channel) stream. ``vwc_percent`` is filled
+    only by ``store.rows_with_vwc``.
     """
 
     profile_id: str
@@ -41,6 +46,8 @@ class RawReading:
     value: float
     timestamp: int
     seq: int
+    recv_timestamp: int | None = None
+    vwc_percent: float | None = None
 
 
 class NonPositiveDryMass(ValueError):

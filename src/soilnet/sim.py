@@ -226,7 +226,8 @@ def step(
 ) -> list[RawReading]:
     """Readings for one cadence tick: a moisture-voltage and a temperature
     reading per configured depth. ``t_s`` is seconds from run start and must
-    lie on the cadence grid; timestamps are ``start_ts + t_s``."""
+    lie on the cadence grid; timestamps are ``start_ts + t_s``, on the node
+    clock and, as ``simulate --offline`` stores them, the receive clock."""
     if t_s % profile.cadence_s != 0:
         raise ValueError(f"t={t_s} not aligned to cadence {profile.cadence_s}")
     seq = t_s // profile.cadence_s + 1
@@ -242,9 +243,9 @@ def step(
         temp = round(temp * 16.0) / 16.0  # probe quantizes to 1/16 degC
         ts = start_ts + t_s
         readings.append(RawReading(profile.profile_id, depth,
-                                   Channel.MOISTURE_VOLTAGE, volts, ts, seq))
+                                   Channel.MOISTURE_VOLTAGE, volts, ts, seq, ts))
         readings.append(RawReading(profile.profile_id, depth,
-                                   Channel.TEMPERATURE_C, temp, ts, seq))
+                                   Channel.TEMPERATURE_C, temp, ts, seq, ts))
     return readings
 
 

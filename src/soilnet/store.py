@@ -19,6 +19,8 @@ channel, the profile field ``_csv_field`` writes for its id, and dates
 and numbers that ``parse_iso_utc``, ``int`` and ``float`` accept, in
 canonical form or not. Any other line is skipped, and counted per
 partition in ``Store.skipped`` and in the partition's checkpoint entry.
+Read back, a row is a reading, ``core.RawReading`` with both clocks set
+(``StoredRow`` is another name for it), its fields in the reading's order.
 
 A final line without its newline is a torn write (a crash or a failed
 write in mid-append): readers ignore it, and every append cuts it off
@@ -71,8 +73,6 @@ EXPORT_FIELDS = (
     "timestamp", "recv_timestamp", "profile", "depth_cm",
     "channel", "seq", "value", "vwc_percent",
 )
-
-DEFAULT_ALLOWED_SKEW_S = 300
 
 DAY_S = 86400
 
@@ -143,26 +143,8 @@ def _file_day(name: str) -> int | None:
         return None
 
 
-@dataclass(frozen=True)
-class StoredRow:
-    profile_id: str
-    depth_cm: int
-    channel: Channel
-    value: float
-    timestamp: int       # node clock, unix seconds UTC
-    seq: int
-    recv_timestamp: int  # gateway clock, unix seconds UTC
-    vwc_percent: float | None = None
-
-    def skewed(self, allowed_skew_s: int = DEFAULT_ALLOWED_SKEW_S) -> bool:
-        # Flagged, never dropped: gateway clock lags the node clock by more
-        # than the allowed skew.
-        return self.recv_timestamp < self.timestamp - allowed_skew_s
-
-    @classmethod
-    def from_reading(cls, reading: RawReading, recv_timestamp: int) -> "StoredRow":
-        return cls(reading.profile_id, reading.depth_cm, reading.channel, reading.value,
-                   reading.timestamp, reading.seq, recv_timestamp)
+# A stored row is the reading itself, both clocks set.
+StoredRow = RawReading
 
 
 def _row_values(row: StoredRow) -> tuple:
@@ -483,8 +465,8 @@ def _read_covered(path: str, entry: _Covered | None) -> _Covered:
 def _rows(data: bytes, start: int) -> tuple[list[tuple], int]:
     """The rows (see the module docstring) of the partition bytes ``data``
     from byte ``start`` (0: the header) to the last newline, each its
-    fields in StoredRow order, and how many lines are no rows, a first
-    line other than the header too."""
+    fields in the reading's order (``core.RawReading``), and how many
+    lines are no rows, a first line other than the header too."""
     end = data.rfind(b"\n") + 1
     skipped = 0
     if start == 0 and end:

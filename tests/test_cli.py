@@ -465,6 +465,27 @@ class TestReport:
         assert doc["extrema"]["moisture"]["min"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [["export", "--model", "bad.json"],
+                                  ["report", "--model", "bad.json"],
+                                  ["report", "--reference", "x=missing.csv"]],
+                         ids=["export-model", "report-model", "report-reference"])
+def test_bad_input_file_exits_2_before_the_query(offline_store, tmp_path, capsys, monkeypatch,
+                                                argv):
+    (tmp_path / "bad.json").write_text("not json\n")
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    query = Store.query
+
+    def recording_query(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return query(self, *args, **kwargs)
+
+    monkeypatch.setattr(Store, "query", recording_query)
+    assert run_cli([*argv, "--data-root", offline_store]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestServePipeline:
     def test_serve_simulate_export_pipeline(self, tmp_path, capsys):
         root = str(tmp_path / "data")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import os
 import random
@@ -18,7 +19,7 @@ from soilnet.gateway import BindFailure, Gateway, GatewayClient, TransportClosed
 from soilnet.protocol import (MAX_FRAME_BYTES, PROTO_VERSION, Ack, Err, Pub, Topic, parse_frame,
                               render_frame)
 from soilnet.sim import ProfileConfig, default_field_model, run_node, step, tick_times
-from soilnet.store import CHECKPOINT, Store, StoredRow, export_csv
+from soilnet.store import CHECKPOINT, Store, export_csv
 
 T0 = 1700000000
 
@@ -520,7 +521,7 @@ class TestSessionReplay:
             gw1.server_close()
         # The gateway died in mid-append of seq 3: half its row, no newline.
         (path,) = (tmp_path / "data" / "p1").glob("*.csv")
-        torn = export_csv([StoredRow.from_reading(reading(seq=3), T0)]).split(b"\n")[1]
+        torn = export_csv([dataclasses.replace(reading(seq=3), recv_timestamp=T0)]).split(b"\n")[1]
         path.write_bytes(path.read_bytes() + torn[:len(torn) // 2])
 
         gw2 = Gateway(("127.0.0.1", 0), Store(root), site="s")

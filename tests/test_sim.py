@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import naive_rain_events
-from soilnet import sim
+from soilnet import core, sim, store
 from soilnet.core import FIELD_CALIBRATION, Channel, apply_calibration
 from soilnet.sim import (
     NotInvertible,
@@ -237,6 +237,20 @@ class TestStep:
     def test_different_seeds_differ(self):
         other = ProfileConfig("p1", seed=43)
         assert step(PROFILE, FIELD, FIELD_CALIBRATION, 0) != step(other, FIELD, FIELD_CALIBRATION, 0)
+
+
+def test_one_reading_record_as_perfbench_uses_it():
+    # perfbench builds six-field readings, seven-field stored rows, and
+    # calls dataclasses.replace on sim.step's output.
+    reading = core.RawReading("p1", 5, Channel.TEMPERATURE_C, 21.5, 1700000000, 3)
+    assert (reading.recv_timestamp, reading.vwc_percent) == (None, None)
+    assert store.StoredRow is core.RawReading
+    row = store.StoredRow("p1", 5, Channel.MOISTURE_VOLTAGE, 1.3, 1700000000, 3, 1700000060, 40.5)
+    assert (row.recv_timestamp, row.vwc_percent) == (1700000060, 40.5)
+    readings = step(PROFILE, FIELD, FIELD_CALIBRATION, 900, start_ts=1700000000)
+    assert all(r.recv_timestamp == r.timestamp == 1700000900 for r in readings)
+    changed = dataclasses.replace(readings[0], value=2.0)
+    assert (changed.value, changed.recv_timestamp) == (2.0, readings[0].recv_timestamp)
 
 
 class _ListTransport:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from soilnet import store as store_module
-from soilnet.core import FIELD_CALIBRATION, Channel, apply_calibration
+from soilnet.core import FIELD_CALIBRATION, Channel, RawReading, apply_calibration
 from soilnet.store import (
     CHECKPOINT,
     EXPORT_FIELDS,
@@ -547,6 +547,20 @@ def test_unencodable_row_leaves_every_partition_unchanged(tmp_path, store, bad):
     assert [r.seq for r in store.query(profile_id="p1")] == [1, 2]
 
 
+def test_reading_without_receive_time_stores_nothing(tmp_path, store):
+    # A reading the gateway has not received has no receive clock: the
+    # batch raises while it is encoded, before a byte is written.
+    store.append_rows([make_row(seq=1), make_row(seq=1, profile="p2")])
+    seqs = store.last_seqs()
+    before = _tree(tmp_path)
+    unreceived = RawReading("p1", 5, Channel.TEMPERATURE_C, 21.5, T0, 2)
+    assert unreceived.recv_timestamp is None
+    with pytest.raises(TypeError):
+        store.append_rows([make_row(seq=2, profile="p2"), unreceived])
+    assert _tree(tmp_path) == before
+    assert store.last_seqs() == Store(store.root).last_seqs() == seqs
+
+
 def _append_one_row_at_a_time(root, depth, count, barrier):
     store = Store(root)
     barrier.wait(timeout=60)
@@ -682,15 +696,6 @@ def test_foreign_lines_are_skipped_and_counted(ops):
         again = Store(root)
         assert again.last_seqs() == expected
         assert sum(again.skipped.values()) == injected
-
-
-class TestSkewFlag:
-    def test_receive_after_send_not_skewed(self):
-        assert not make_row(ts=T0, recv=T0 + 100).skewed()
-
-    def test_large_node_clock_lead_flagged(self):
-        assert make_row(ts=T0 + 1000, recv=T0).skewed()
-        assert not make_row(ts=T0 + 200, recv=T0).skewed()
 
 
 def _parse_back_csv(data: bytes):
