@@ -14,7 +14,6 @@ from soilnet.core import (
     Transform,
     FIELD_CALIBRATION,
     apply_calibration,
-    decode_ds18b20,
     fit_calibration,
     gravimetric_vwc,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "Transform",
     "FIELD_CALIBRATION",
     "apply_calibration",
-    "decode_ds18b20",
     "fit_calibration",
     "gravimetric_vwc",
 ]

@@ -12,8 +12,8 @@ import json
 import math
 from bisect import bisect_left
 
-from soilnet.core import Channel
-from soilnet.store import StoredRow, iso_utc
+from soilnet.core import Channel, RawReading
+from soilnet.store import iso_utc
 
 SURFACE_BOUNDARY_CM = 30  # active / sub-active layer split
 
@@ -83,20 +83,12 @@ def _std(values, mean: float) -> float | None:
     return math.dist(values, [mean] * n) / math.sqrt(n - 1)
 
 
-def coefficient_of_variation(values) -> float | None:
-    if not values:
-        return None
-    mean = _mean(values)
-    std = _std(values, mean)
-    return None if std is None else _cv(std, mean)
-
-
 def _cv(std: float, mean: float) -> float | None:
     # None for a zero mean; not -0.0 under a negative mean.
     return None if mean == 0.0 else std / mean if std else 0.0
 
 
-def summarize(rows: list[StoredRow]) -> dict:
+def summarize(rows: list[RawReading]) -> dict:
     """The report's ``extrema`` (min/max/mean per channel) and
     ``depth_stats`` (n/mean/std/CV per depth and channel) entries."""
     if not rows:
@@ -121,7 +113,7 @@ def summarize(rows: list[StoredRow]) -> dict:
     }
 
 
-def layer_contrast(rows: list[StoredRow], boundary_cm: int = SURFACE_BOUNDARY_CM) -> dict:
+def layer_contrast(rows: list[RawReading], boundary_cm: int = SURFACE_BOUNDARY_CM) -> dict:
     """The report's ``layer_contrast`` entry: pooled sample std of surface
     (< boundary) vs subsurface (>= boundary) values, per channel."""
     groups: dict[tuple[Channel, bool], list[float]] = {}
@@ -163,7 +155,7 @@ def align_nearest(
 
 
 def validation_report(
-    rows: list[StoredRow],
+    rows: list[RawReading],
     sensor_series: list[tuple[int, float]],
     references: list[tuple[str, list[tuple[int, float]]]],
     cadence_s: int = 900,
@@ -237,7 +229,7 @@ def report_to_json(doc: dict) -> bytes:
     return json.dumps(doc, indent=2).encode("ascii") + b"\n"
 
 
-def plot_series_csv(rows: list[StoredRow], channel: Channel) -> bytes:
+def plot_series_csv(rows: list[RawReading], channel: Channel) -> bytes:
     """Plot-ready per-depth time series for one channel:
     timestamp,depth_cm,value rows in query order. No field needs CSV
     quoting: each is a date, an int or a float repr."""

@@ -19,14 +19,12 @@ import time
 
 from soilnet import core, sim
 from soilnet.analytics import plot_series_csv, render_report, report_to_json, validation_report
-from soilnet.core import Channel
+from soilnet.core import Channel, RawReading
 from soilnet.gateway import DEFAULT_PORT, BindFailure, Gateway, GatewayClient
 from soilnet.store import (
     DAY_S,
     Store,
-    StoredRow,
     export,
-    iso_utc,
     parse_iso_utc,
     rows_with_vwc,
 )
@@ -268,7 +266,7 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def _query_args(store: Store, args) -> list[StoredRow]:
+def _query_args(store: Store, args) -> list[RawReading]:
     start = parse_instant(args.start) if args.start else None
     end = parse_instant(args.end) if args.end else None
     rows = store.query(profile_id=args.profile, start_ts=start, end_ts=end)

@@ -1,5 +1,5 @@
-"""Domain types and numerics: gravimetric water content, sensor calibration,
-temperature decode.
+"""Domain types and numerics: the reading record and the rules every layer
+applies to it, gravimetric water content, sensor calibration.
 
 All functions here are pure; no I/O, no shared state.
 """
@@ -25,6 +25,20 @@ TEMPERATURE_C_RANGE = (-55.0, 125.0)
 def value_in_range(channel: Channel, value: float) -> bool:
     lo, hi = MOISTURE_VOLT_RANGE if channel is Channel.MOISTURE_VOLTAGE else TEMPERATURE_C_RANGE
     return math.isfinite(value) and lo <= value <= hi
+
+
+# Unix seconds of years 1000-9999 (UTC), the range the store's ISO-8601
+# rows and day partitions round-trip: the protocol accepts, and the store
+# appends, only timestamps within it.
+TS_RANGE = (-30610224000, 253402300799)
+
+
+def plain_segment(seg: str) -> bool:
+    """Whether ``seg`` can name one path segment: a topic's site or
+    profile, a store's profile directory. isprintable() is False for NUL,
+    which no path holds, and for line breaks, tabs and every other
+    whitespace character but " ", which no CSV reader reads back as written."""
+    return seg not in ("", ".", "..") and "/" not in seg and seg.isprintable()
 
 
 @dataclass(slots=True)
@@ -219,15 +233,3 @@ def fit_calibration(
         fit_rmse=fit_rmse, fit_r2=fit_r2, n_points=len(points),
     )
 
-
-def decode_ds18b20(raw: int) -> float:
-    """Decode a 16-bit two's-complement probe register at 12-bit resolution
-    (1/16 °C per count). Total on the whole 16-bit range."""
-    if not 0 <= raw <= 0xFFFF:
-        if -0x8000 <= raw < 0:
-            raw &= 0xFFFF
-        else:
-            raise ValueError(f"raw value {raw} outside 16-bit range")
-    if raw >= 0x8000:
-        raw -= 0x10000
-    return raw / 16.0

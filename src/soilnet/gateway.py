@@ -25,12 +25,11 @@ from soilnet.protocol import (
     Hello,
     Malformed,
     Pub,
-    Topic,
     classify_line,
     parse_frame,
     render_frame,
 )
-from soilnet.store import Store, StoredRow
+from soilnet.store import Store
 
 DEFAULT_PORT = 1884  # 1883-adjacent; real MQTT brokers own 1883
 BUFFER_MAX = 10000  # readings a GatewayClient queues; beyond it the oldest is dropped
@@ -127,9 +126,8 @@ class Gateway(socketserver.ThreadingTCPServer):
                 return Err("store", f"append failed: {type(e).__name__}")
 
     def _store_pub(self, pub: Pub) -> None:
-        t = pub.topic
-        self.store.append(StoredRow(t.profile_id, t.depth_cm, t.channel, pub.value,
-                                    pub.timestamp, pub.seq, int(time.time())))
+        pub.reading.recv_timestamp = int(time.time())
+        self.store.append(pub.reading)
 
     def counters(self) -> dict:
         with self._state_lock:
@@ -243,9 +241,8 @@ class GatewayClient:
         """Queue one reading, then send the queue front-first; returns this
         reading's status: acknowledged | rejected | buffered. A reading no
         PUB can carry is rejected at once, never queued."""
-        topic = Topic(self.site, reading.profile_id, reading.depth_cm, reading.channel)
         try:
-            line = render_frame(Pub(topic, reading.seq, reading.timestamp, reading.value))
+            line = render_frame(Pub(self.site, reading))
         except ValueError:
             self.counters["rejected"] += 1
             return "rejected"

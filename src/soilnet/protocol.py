@@ -3,7 +3,7 @@
 Frames are ASCII bytes, LF-terminated, single-space separated, <= 512 bytes:
 
     HELLO <node_id> <proto_version>
-    PUB <topic> <seq> <unix_ts_seconds> <value_decimal>    (seq >= 1, ts in TS_RANGE)
+    PUB <topic> <seq> <unix_ts_seconds> <value_decimal>    (seq >= 1, ts in core.TS_RANGE)
     ACK <seq>
     ERR <code> <message>
 
@@ -18,13 +18,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
-from soilnet.core import Channel, value_in_range
+from soilnet.core import TS_RANGE, Channel, RawReading, plain_segment, value_in_range
 
 MAX_FRAME_BYTES = 512
 PROTO_VERSION = 1
-# Node timestamps of years 1000-9999 (UTC), the range the store's ISO-8601
-# rows and day partitions round-trip.
-TS_RANGE = (-30610224000, 253402300799)
 
 
 class Malformed(ValueError):
@@ -43,48 +40,33 @@ def _quote(tok: str) -> str:
 
 
 def _check_segment(seg: str, what: str) -> str:
-    # A profile id names a store directory. isprintable() is False for NUL,
-    # the other control characters and every whitespace character but " ".
-    if not seg or "/" in seg or " " in seg or seg in (".", "..") or not seg.isprintable():
+    # A plain segment (see core.plain_segment) without spaces, which would
+    # split the frame into more tokens.
+    if " " in seg or not plain_segment(seg):
         raise Malformed(f"{what}: bad segment {_quote(seg)}")
     return seg
 
 
-@dataclass(frozen=True)
-class Topic:
-    site: str
-    profile_id: str
-    depth_cm: int
-    channel: Channel
-
-    def render(self) -> str:
-        return (
-            f"site/{_check_segment(self.site, 'site')}"
-            f"/profile/{_check_segment(self.profile_id, 'profile')}"
-            f"/depth/{self.depth_cm}/{self.channel.value}"
-        )
-
-    # One cache per gateway process. It assumes a gateway sees at most 1024
-    # distinct topics (8 per profile, so 128 profiles); past that, topics
-    # interleaved round-robin would miss every time. Topic is frozen, so
-    # the cached instance can be shared; a raised Malformed is not cached,
-    # so a bad topic is checked again each time.
-    @staticmethod
-    @functools.lru_cache(maxsize=1024)
-    def parse(s: str) -> "Topic":
-        parts = s.split("/")
-        if len(parts) != 7 or parts[0] != "site" or parts[2] != "profile" or parts[4] != "depth":
-            raise Malformed(f"topic: {_quote(s)}")
-        site, profile_id, depth_s, chan_s = parts[1], parts[3], parts[5], parts[6]
-        _check_segment(site, "topic")
-        _check_segment(profile_id, "topic")
-        if not depth_s.isdigit() or int(depth_s) <= 0:
-            raise Malformed(f"topic depth: {_quote(depth_s)}")
-        try:
-            channel = Channel(chan_s)
-        except ValueError:
-            raise Malformed(f"topic channel: {_quote(chan_s)}") from None
-        return Topic(site, profile_id, int(depth_s), channel)
+# One cache per gateway process. It assumes a gateway sees at most 1024
+# distinct topics (8 per profile, so 128 profiles); past that, topics
+# interleaved round-robin would miss every time. A raised Malformed is not
+# cached, so a bad topic is checked again each time.
+@functools.lru_cache(maxsize=1024)
+def parse_topic(s: str) -> tuple[str, str, int, Channel]:
+    """The (site, profile_id, depth_cm, channel) a topic string names."""
+    parts = s.split("/")
+    if len(parts) != 7 or parts[0] != "site" or parts[2] != "profile" or parts[4] != "depth":
+        raise Malformed(f"topic: {_quote(s)}")
+    site, profile_id, depth_s, chan_s = parts[1], parts[3], parts[5], parts[6]
+    _check_segment(site, "topic")
+    _check_segment(profile_id, "topic")
+    if not depth_s.isdigit() or int(depth_s) <= 0:
+        raise Malformed(f"topic depth: {_quote(depth_s)}")
+    try:
+        channel = Channel(chan_s)
+    except ValueError:
+        raise Malformed(f"topic channel: {_quote(chan_s)}") from None
+    return site, profile_id, int(depth_s), channel
 
 
 @dataclass(frozen=True)
@@ -95,10 +77,11 @@ class Hello:
 
 @dataclass(frozen=True)
 class Pub:
-    topic: Topic
-    seq: int
-    timestamp: int
-    value: float
+    """The site a PUB's topic names and the reading it carries, whose
+    recv_timestamp stays None until the gateway stores it."""
+
+    site: str
+    reading: RawReading
 
 
 @dataclass(frozen=True)
@@ -150,14 +133,14 @@ def parse_frame(data: bytes) -> Frame:
     if kind == "PUB":
         if len(toks) != 5:
             raise Malformed(f"PUB wants 4 fields, got {len(toks) - 1}")
-        topic = Topic.parse(toks[1])
+        site, profile_id, depth_cm, channel = parse_topic(toks[1])
         seq = _parse_int(toks[2], "seq")
         ts = _parse_int(toks[3], "timestamp")
         if seq < 1:  # dedup starts every stream at last-seen 0
             raise Malformed(f"seq must be >= 1: {seq}")
         if not TS_RANGE[0] <= ts <= TS_RANGE[1]:
             raise Malformed("timestamp outside years 1000-9999")
-        return Pub(topic, seq, ts, _parse_value(toks[4]))
+        return Pub(site, RawReading(profile_id, depth_cm, channel, _parse_value(toks[4]), ts, seq))
     if kind == "HELLO":
         if len(toks) != 3:
             raise Malformed("HELLO wants 2 fields")
@@ -176,7 +159,10 @@ def parse_frame(data: bytes) -> Frame:
 def render_frame(frame: Frame) -> bytes:
     """The frame's line; ValueError if it is not ASCII or over 512 bytes."""
     if isinstance(frame, Pub):
-        line = f"PUB {frame.topic.render()} {frame.seq} {frame.timestamp} {frame.value!r}\n"
+        r = frame.reading
+        line = (f"PUB site/{_check_segment(frame.site, 'site')}"
+                f"/profile/{_check_segment(r.profile_id, 'profile')}"
+                f"/depth/{r.depth_cm}/{r.channel.value} {r.seq} {r.timestamp} {r.value!r}\n")
     elif isinstance(frame, Hello):
         line = f"HELLO {frame.node_id} {frame.proto_version}\n"
     elif isinstance(frame, Ack):
@@ -232,24 +218,24 @@ def validate_and_order(state: GatewayState, pub: Pub,
     returned, so a frame whose store raises is not counted at all and its
     retry is classified afresh.
     """
-    t = pub.topic
-    if t.site != state.site:
+    r = pub.reading
+    if pub.site != state.site:
         state.pub_total += 1
         state.foreign_site += 1
         return Verdict.FOREIGN_SITE
-    key = (t.profile_id, t.depth_cm, t.channel)
-    if pub.seq <= state.last_seen.get(key, 0):
+    key = (r.profile_id, r.depth_cm, r.channel)
+    if r.seq <= state.last_seen.get(key, 0):
         state.pub_total += 1
         state.duplicate += 1
         return Verdict.DUPLICATE
-    if not value_in_range(t.channel, pub.value):
+    if not value_in_range(r.channel, r.value):
         state.pub_total += 1
         state.out_of_range += 1
         return Verdict.OUT_OF_RANGE
     if store is not None:
         store(pub)
     state.pub_total += 1
-    state.last_seen[key] = pub.seq
+    state.last_seen[key] = r.seq
     state.accepted += 1
     return Verdict.ACCEPT
 
@@ -271,11 +257,12 @@ def classify_line(state: GatewayState, line: bytes, store: Callable[[Pub], None]
         return None, Err("malformed", e.reason)
     if isinstance(frame, Pub):
         verdict = validate_and_order(state, frame, store)
+        r = frame.reading
         if verdict is Verdict.OUT_OF_RANGE:
-            return verdict, Err("out_of_range", f"value {frame.value!r} outside channel range")
+            return verdict, Err("out_of_range", f"value {r.value!r} outside channel range")
         if verdict is Verdict.FOREIGN_SITE:
             return verdict, Err("site", "topic names a site this gateway does not serve")
-        return verdict, Ack(frame.seq)  # accepted or duplicate
+        return verdict, Ack(r.seq)  # accepted or duplicate
     if isinstance(frame, Hello):
         if frame.proto_version != PROTO_VERSION:
             return None, Err("version", f"unsupported proto_version, want {PROTO_VERSION}")

@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice
 
-from soilnet.core import CalibrationModel, Channel, RawReading, apply_calibration
+from soilnet.core import CalibrationModel, Channel, RawReading
 
 DAY_S = 86400
 

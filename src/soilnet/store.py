@@ -19,8 +19,9 @@ channel, the profile field ``_csv_field`` writes for its id, and dates
 and numbers that ``parse_iso_utc``, ``int`` and ``float`` accept, in
 canonical form or not. Any other line is skipped, and counted per
 partition in ``Store.skipped`` and in the partition's checkpoint entry.
-Read back, a row is a reading, ``core.RawReading`` with both clocks set
-(``StoredRow`` is another name for it), its fields in the reading's order.
+Read back, a row is a reading, ``core.RawReading`` with both clocks set,
+its fields in the reading's order. Both clocks lie in ``core.TS_RANGE``,
+the years whose dates the rows and partition names round-trip.
 
 A final line without its newline is a torn write (a crash or a failed
 write in mid-append): readers ignore it, and every append cuts it off
@@ -67,7 +68,8 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 
-from soilnet.core import CalibrationModel, Channel, RawReading, ZeroVoltage, apply_calibration
+from soilnet.core import (TS_RANGE, CalibrationModel, Channel, RawReading, ZeroVoltage,
+                          apply_calibration, plain_segment)
 
 EXPORT_FIELDS = (
     "timestamp", "recv_timestamp", "profile", "depth_cm",
@@ -143,11 +145,12 @@ def _file_day(name: str) -> int | None:
         return None
 
 
-# A stored row is the reading itself, both clocks set.
+# A second name for the reading, which a stored row is, both clocks set;
+# perfbench/tests/test_perfbench.py imports it.
 StoredRow = RawReading
 
 
-def _row_values(row: StoredRow) -> tuple:
+def _row_values(row: RawReading) -> tuple:
     """The fields of ``row`` in EXPORT_FIELDS order, as every exporter
     fills them in: floats in shortest round-trip form, an absent
     vwc_percent as an empty field."""
@@ -167,7 +170,7 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv_line(row: StoredRow) -> str:
+def _csv_line(row: RawReading) -> str:
     """``row`` as a CSV line; its profile id is the one field to quote, the
     others being dates, numbers and channel names."""
     ts, recv, pid, depth, chan, seq, value, vwc = _row_values(row)
@@ -197,19 +200,24 @@ class Store:
         self.skipped: dict[str, int] = {}
         os.makedirs(root, exist_ok=True)
 
-    def append(self, row: StoredRow) -> None:
+    def append(self, row: RawReading) -> None:
         """Append one row (see the class docstring for durability)."""
         self.append_rows([row])
 
-    def append_rows(self, rows: Iterable[StoredRow]) -> None:
+    def append_rows(self, rows: Iterable[RawReading]) -> None:
         """Append ``rows``, in order within each partition, with one write()
-        per partition. Rows are encoded and profile ids checked before any byte
-        is written, so a row that cannot be stored leaves every partition as it was.
+        per partition. Rows are encoded, and their clocks (``core.TS_RANGE``)
+        and profile ids (``core.plain_segment``) checked, before any byte is
+        written, so a row that cannot be stored leaves every partition as it was.
         Each written partition's checkpoint entry is kept up to date in memory,
         for ``checkpoint`` to save, unless the size shows another writer's rows:
         then the entry stays as it was, and the save reads past it."""
-        batches: dict[tuple[str, int], list[StoredRow]] = {}
+        lo, hi = TS_RANGE
+        batches: dict[tuple[str, int], list[RawReading]] = {}
         for row in rows:
+            if not (lo <= row.timestamp <= hi and lo <= row.recv_timestamp <= hi):
+                raise ValueError(f"clock outside years 1000-9999: timestamp {row.timestamp},"
+                                 f" recv_timestamp {row.recv_timestamp}")
             key = (row.profile_id, row.timestamp // DAY_S)
             batch = batches.get(key)
             if batch is None:
@@ -220,9 +228,7 @@ class Store:
             path = self._paths.get(key)
             if path is None:
                 pid = key[0]
-                # Not printable: NUL, which no path holds, and line breaks
-                # and tabs, which no CSV reader would read back as written.
-                if pid in ("", ".", "..") or "/" in pid or not pid.isprintable():
+                if not plain_segment(pid):
                     raise ValueError(f"profile id {pid!r} is not a printable directory name")
                 path = self._paths[key] = os.path.join(self.root, pid, f"{_utc_date(key[1])}.csv")
             encoded.append((path, "".join(map(_csv_line, batch)).encode("ascii"), batch))
@@ -288,9 +294,7 @@ class Store:
         profile_id: str | None = None,
         start_ts: int | None = None,
         end_ts: int | None = None,
-        depths: set[int] | None = None,
-        channels: set[Channel] | None = None,
-    ) -> list[StoredRow]:
+    ) -> list[RawReading]:
         """Rows in [start_ts, end_ts) on the node clock, sorted by node
         timestamp then seq; only the partitions of the window's days are
         read. Raises UnknownProfile only when the store holds other
@@ -309,17 +313,15 @@ class Store:
 
         first_day = None if start_ts is None else start_ts // DAY_S
         last_day = None if end_ts is None else (end_ts - 1) // DAY_S
-        rows: list[StoredRow] = []
+        rows: list[RawReading] = []
         for pid in targets:
             for path in self._partition_files(pid, first_day, last_day):
                 with open(path, "rb") as f:
                     found, self.skipped[path] = _rows(f.read(), 0)
                 for fields in found:
-                    _, depth, chan, _, ts, _, _, _ = fields
-                    if ((start_ts is None or ts >= start_ts) and (end_ts is None or ts < end_ts)
-                            and (depths is None or depth in depths)
-                            and (channels is None or chan in channels)):
-                        rows.append(StoredRow(*fields))
+                    ts = fields[4]
+                    if (start_ts is None or ts >= start_ts) and (end_ts is None or ts < end_ts):
+                        rows.append(RawReading(*fields))
         rows.sort(key=lambda r: (r.timestamp, r.profile_id, r.depth_cm,
                                  r.channel.value, r.seq))
         return rows
@@ -499,7 +501,7 @@ def _write_all(fd: int, data: bytes) -> None:
         data = data[os.write(fd, data):]
 
 
-def export_csv(rows: list[StoredRow]) -> bytes:
+def export_csv(rows: list[RawReading]) -> bytes:
     return _HEADER + "".join(map(_csv_line, rows)).encode("ascii")
 
 
@@ -517,14 +519,14 @@ def _json_number(text: str, x: float | None) -> str:
     return "null" if x is None else json.dumps(x)
 
 
-def _json_record(row: StoredRow) -> str:
+def _json_record(row: RawReading) -> str:
     ts, recv, pid, depth, chan, seq, value, vwc = _row_values(row)
     # The id as json.dumps writes a string, by the function it calls.
     return _JSON_ROW % (ts, recv, encode_basestring_ascii(pid), depth, chan, seq,
                         _json_number(value, row.value), _json_number(vwc, row.vwc_percent))
 
 
-def export_json(rows: list[StoredRow]) -> bytes:
+def export_json(rows: list[RawReading]) -> bytes:
     """The bytes of json.dumps(records, indent=2) plus a newline."""
     if not rows:
         return b"[]\n"
@@ -545,13 +547,13 @@ def _xml_attr(text: str) -> str:
     return text
 
 
-def _xml_reading(row: StoredRow) -> str:
+def _xml_reading(row: RawReading) -> str:
     ts, recv, pid, depth, chan, seq, value, vwc = _row_values(row)
     return _XML_ROW % (ts, recv, _xml_attr(pid), depth, chan, seq, value,
                        vwc and f' vwc_percent="{vwc}"')
 
 
-def export_xml(rows: list[StoredRow]) -> bytes:
+def export_xml(rows: list[RawReading]) -> bytes:
     """The bytes of ElementTree's indented <readings> tree plus a newline;
     an id that is not ASCII raises UnicodeEncodeError."""
     if not rows:
@@ -562,7 +564,7 @@ def export_xml(rows: list[StoredRow]) -> bytes:
 _EXPORTERS = {"csv": export_csv, "json": export_json, "xml": export_xml}
 
 
-def export(rows: list[StoredRow], fmt: str) -> bytes:
+def export(rows: list[RawReading], fmt: str) -> bytes:
     """Serialize query-ordered rows; csv/json/xml carry identical data."""
     try:
         exporter = _EXPORTERS[fmt.lower()]
@@ -571,7 +573,7 @@ def export(rows: list[StoredRow], fmt: str) -> bytes:
     return exporter(rows)
 
 
-def rows_with_vwc(rows: list[StoredRow], model: CalibrationModel) -> list[StoredRow]:
+def rows_with_vwc(rows: list[RawReading], model: CalibrationModel) -> list[RawReading]:
     """Copy of ``rows`` with vwc_percent filled on moisture rows. This is
     the one place a model applies: the store holds raw readings and is
     never rewritten, so a refit model reaches all stored history. A

@@ -122,10 +122,10 @@ def naive_rain_events(seed, rate_per_day, upto_s):
     return events
 
 
-def naive_query(rows, profile_id=None, start_ts=None, end_ts=None, depths=None, channels=None):
+def naive_query(rows, profile_id=None, start_ts=None, end_ts=None):
     """Every appended row (in append order) of ``profile_id`` with a node
-    timestamp in [start_ts, end_ts) that passes the depth and channel
-    filters, stably sorted by (timestamp, profile, depth, channel, seq)."""
+    timestamp in [start_ts, end_ts), stably sorted by (timestamp, profile,
+    depth, channel, seq)."""
     out = []
     for r in rows:
         if profile_id is not None and r.profile_id != profile_id:
@@ -133,10 +133,6 @@ def naive_query(rows, profile_id=None, start_ts=None, end_ts=None, depths=None, 
         if start_ts is not None and r.timestamp < start_ts:
             continue
         if end_ts is not None and r.timestamp >= end_ts:
-            continue
-        if depths is not None and r.depth_cm not in depths:
-            continue
-        if channels is not None and r.channel not in channels:
             continue
         out.append(r)
     out.sort(key=lambda r: (r.timestamp, r.profile_id, r.depth_cm, r.channel.value, r.seq))
@@ -152,7 +148,7 @@ def naive_iso_utc(ts):
 
 
 def naive_record(row):
-    """One StoredRow as a dict of its export fields, timestamps as text."""
+    """One stored reading as a dict of its export fields, timestamps as text."""
     return {
         "timestamp": naive_iso_utc(row.timestamp),
         "recv_timestamp": naive_iso_utc(row.recv_timestamp),
@@ -166,7 +162,7 @@ def naive_record(row):
 
 
 def naive_csv_line(row):
-    """One StoredRow as a line of its partition file, the way the store
+    """One stored reading as a line of its partition file, the way the store
     encoded rows one at a time: a record dict, then per field an empty
     string for None, repr for a float and the value itself otherwise,
     written by a fresh csv.writer."""
@@ -186,13 +182,13 @@ def naive_csv_line(row):
 
 
 def naive_json_export(rows):
-    """StoredRows as the JSON export was first written: their records,
+    """Stored readings as the JSON export was first written: their records,
     dumped whole by json.dumps(indent=2), then a newline."""
     return json.dumps([naive_record(r) for r in rows], indent=2).encode("ascii") + b"\n"
 
 
 def naive_xml_export(rows):
-    """StoredRows as the XML export was first written: a <readings> tree
+    """Stored readings as the XML export was first written: a <readings> tree
     with one <reading> per row, its attributes the record's fields as text
     (repr for a float) and no vwc_percent when there is none, indented by
     ElementTree and serialised as ASCII, then a newline."""

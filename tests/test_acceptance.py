@@ -33,6 +33,7 @@ from soilnet.core import (
     FIELD_CALIBRATION,
     Channel,
     GravimetricSample,
+    RawReading,
     Transform,
     apply_calibration,
     fit_calibration,
@@ -40,7 +41,7 @@ from soilnet.core import (
 )
 from soilnet.gateway import GatewayClient, serve
 from soilnet.sim import ProfileConfig, default_field_model, ground_truth, run_node, step, tick_times
-from soilnet.store import Store, StoredRow, export
+from soilnet.store import Store, export
 from oracles import naive_pearson, naive_rmse, naive_sample_std, sort_extrema
 
 TABLE_VOLT_VWC = [
@@ -123,7 +124,7 @@ def test_criterion_3_statistics_oracle_equivalence():
                 assert got_p is None
             else:
                 assert got_p == pytest.approx(want_p, abs=1e-12)
-            rows = [StoredRow("p1", 5, Channel.TEMPERATURE_C, v, T0 + i, i + 1, T0 + i)
+            rows = [RawReading("p1", 5, Channel.TEMPERATURE_C, v, T0 + i, i + 1, T0 + i)
                     for i, v in enumerate(a)]
             s = summarize(rows)
             ex = s["extrema"][Channel.TEMPERATURE_C]
@@ -206,9 +207,7 @@ def test_criterion_6_surface_subsurface_contrast():
         profile = ProfileConfig("p1", seed=0)
         rows = []
         for t in tick_times(10 * 86400, 900):
-            for r in step(profile, field, FIELD_CALIBRATION, t, T0):
-                rows.append(StoredRow(r.profile_id, r.depth_cm, r.channel, r.value,
-                                      r.timestamp, r.seq, r.timestamp))
+            rows.extend(step(profile, field, FIELD_CALIBRATION, t, T0))
         contrasts = layer_contrast(rows)
         assert contrasts[Channel.MOISTURE_VOLTAGE]["surface_more_variable"]
         assert contrasts[Channel.TEMPERATURE_C]["surface_more_variable"]
@@ -236,13 +235,13 @@ def test_criterion_7_desk_scale_substitutes():
         for i in range(400):
             ts = T0 + 900 * i
             vwc = 36.0 + 4.0 * math.sin(i / 25.0)
-            rows.append(StoredRow("p1", 5, Channel.MOISTURE_VOLTAGE, 1.4, ts, i + 1, ts, vwc))
-            rows.append(StoredRow("p1", 50, Channel.MOISTURE_VOLTAGE,
-                                  1.45 + rng.gauss(0, 0.002), ts, i + 1, ts))
-            rows.append(StoredRow("p1", 5, Channel.TEMPERATURE_C,
-                                  20.0 + 3.0 * math.sin(i / 12.0), ts, i + 1, ts))
-            rows.append(StoredRow("p1", 50, Channel.TEMPERATURE_C,
-                                  19.0 + rng.gauss(0, 0.05), ts, i + 1, ts))
+            rows.append(RawReading("p1", 5, Channel.MOISTURE_VOLTAGE, 1.4, ts, i + 1, ts, vwc))
+            rows.append(RawReading("p1", 50, Channel.MOISTURE_VOLTAGE,
+                                   1.45 + rng.gauss(0, 0.002), ts, i + 1, ts))
+            rows.append(RawReading("p1", 5, Channel.TEMPERATURE_C,
+                                   20.0 + 3.0 * math.sin(i / 12.0), ts, i + 1, ts))
+            rows.append(RawReading("p1", 50, Channel.TEMPERATURE_C,
+                                   19.0 + rng.gauss(0, 0.05), ts, i + 1, ts))
             series.append((ts, vwc))
         sigma_pct = 3.0  # 0.03 as a VWC fraction
         noisy = [(t, v + rng.gauss(0, sigma_pct)) for t, v in series]

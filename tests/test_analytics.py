@@ -11,7 +11,6 @@ from soilnet.analytics import (
     MissingLayer,
     NoOverlap,
     align_nearest,
-    coefficient_of_variation,
     layer_contrast,
     pearson,
     plot_series_csv,
@@ -22,7 +21,7 @@ from soilnet.analytics import (
     summarize,
     validation_report,
 )
-from soilnet.store import StoredRow
+from soilnet.core import RawReading
 from oracles import (naive_align_nearest, naive_pearson, naive_rmse, naive_sample_std,
                      sort_extrema)
 
@@ -30,7 +29,7 @@ T0 = 1700000000
 
 
 def row(seq, ts, depth, channel, value, vwc=None):
-    return StoredRow("p1", depth, channel, value, ts, seq, ts, vwc)
+    return RawReading("p1", depth, channel, value, ts, seq, ts, vwc)
 
 
 class TestRmse:
@@ -148,14 +147,18 @@ class TestSummarize:
         values = [c] * n
         assert sample_std(values) == 0.0
         assert pearson(values, list(range(n))) is None
-        cv = coefficient_of_variation(values)
+        rows = [row(i + 1, T0 + i, 5, Channel.TEMPERATURE_C, c) for i in range(n)]
+        (ds,) = summarize(rows)["depth_stats"]
         if c == 0.0:
-            assert cv is None
+            assert ds["cv"] is None
         else:
-            assert cv == 0.0 and math.copysign(1.0, cv) == 1.0
+            assert ds["cv"] == 0.0 and math.copysign(1.0, ds["cv"]) == 1.0
 
     def test_cv_undefined_for_zero_mean(self):
-        assert coefficient_of_variation([-1.0, 1.0]) is None
+        rows = [row(1, T0, 5, Channel.TEMPERATURE_C, -1.0),
+                row(2, T0 + 1, 5, Channel.TEMPERATURE_C, 1.0)]
+        (ds,) = summarize(rows)["depth_stats"]
+        assert ds["std"] == math.sqrt(2.0) and ds["cv"] is None
         assert sample_std([3.0]) is None
 
     def test_empty_rejected(self):

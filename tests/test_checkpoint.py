@@ -30,8 +30,8 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from soilnet import store as store_mod
-from soilnet.core import Channel
-from soilnet.store import CHECKPOINT, Store, StoredRow
+from soilnet.core import Channel, RawReading
+from soilnet.store import CHECKPOINT, Store
 
 from oracles import naive_store_last_seqs, naive_store_skipped
 
@@ -44,8 +44,8 @@ readings = st.lists(st.tuples(st.sampled_from(STREAMS), st.integers(0, 1), st.in
 
 
 def rows_of(readings):
-    return [StoredRow(profile, depth, channel, 1.25, DAY0 + day * 86400 + seq * 60, seq,
-                      DAY0 + day * 86400 + seq * 60)
+    return [RawReading(profile, depth, channel, 1.25, DAY0 + day * 86400 + seq * 60, seq,
+                       DAY0 + day * 86400 + seq * 60)
             for (profile, depth, channel), day, seq in readings]
 
 

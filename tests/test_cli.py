@@ -160,6 +160,15 @@ class TestSimulateOffline:
         assert rc == 0
         assert Store(other).query() == Store(offline_store).query()
 
+    def test_start_before_year_1000_exit_2_and_stores_nothing(self, tmp_path, capsys):
+        # Year 999 would be written as a "999-12-31" partition that no
+        # reader reads back.
+        root = tmp_path / "data"
+        assert run_cli(["simulate", "--offline", "--data-root", str(root), "--duration", "1h",
+                        "--start", "0999-12-31T22:00:00Z"]) == 2
+        assert list(root.iterdir()) == []
+        assert "years 1000-9999" in capsys.readouterr().err
+
     def test_partition_bytes_pinned(self, tmp_path):
         # Starts at 06:00, so each profile's first and last day are partial.
         root = tmp_path / "data"

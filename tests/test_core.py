@@ -1,11 +1,13 @@
 import math
 import random
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
 from soilnet.core import (
     FIELD_CALIBRATION,
+    TS_RANGE,
     CalibrationModel,
     GravimetricSample,
     InsufficientPoints,
@@ -15,9 +17,9 @@ from soilnet.core import (
     Transform,
     ZeroVoltage,
     apply_calibration,
-    decode_ds18b20,
     fit_calibration,
     gravimetric_vwc,
+    plain_segment,
 )
 from oracles import normal_equations_quadratic
 
@@ -154,21 +156,23 @@ class TestFitCalibration:
             assert apply_calibration(m, v) == pytest.approx(y, abs=0.1)
 
 
-class TestTemperatureDecode:
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [(0x0000, 0.0), (0x0191, 25.0625), (0xFF5E, -10.125), (0x0001, 0.0625)],
-    )
-    def test_known_codes(self, raw, expected):
-        assert decode_ds18b20(raw) == expected
+# The bad ids of the protocol's and the store's tests: both refuse them by
+# this rule.
+@pytest.mark.parametrize("seg", ["", ".", "..", "a/b", "../p1", "p\x00", "e\nf", "c\rd", "a\tb"])
+def test_plain_segment_refuses(seg):
+    assert not plain_segment(seg)
 
-    @given(st.integers(-32767, 32767))
-    def test_negation_symmetry(self, x):
-        assert decode_ds18b20((-x) & 0xFFFF) == -decode_ds18b20(x & 0xFFFF)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            decode_ds18b20(0x10000)
+@pytest.mark.parametrize("seg", ["p1", "farm", "...", ".p", "p 1", "p\u00e9", 'a,"b'])
+def test_plain_segment_accepts(seg):
+    # A space is the protocol's own rule, non-ASCII the store's encoding.
+    assert plain_segment(seg)
+
+
+def test_ts_range_is_years_1000_to_9999():
+    lo, hi = (datetime.fromtimestamp(ts, tz=timezone.utc) for ts in TS_RANGE)
+    assert (lo.isoformat(), hi.isoformat()) == ("1000-01-01T00:00:00+00:00",
+                                                "9999-12-31T23:59:59+00:00")
 
 
 def test_model_json_round_trip():

@@ -25,10 +25,10 @@ import tempfile
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
-from soilnet.core import Channel
+from soilnet.core import Channel, RawReading
 from soilnet.gateway import Gateway
-from soilnet.protocol import Ack, Err, Pub, Topic, render_frame
-from soilnet.store import CHECKPOINT, Store, StoredRow, iso_utc
+from soilnet.protocol import Ack, Err, Pub, render_frame
+from soilnet.store import CHECKPOINT, Store, iso_utc
 
 from oracles import naive_last_seqs
 from test_checkpoint import put, read_or_none, spoil
@@ -47,7 +47,7 @@ COUNTERS = ("accepted", "duplicate", "out_of_range", "malformed", "foreign_site"
 
 def pub_line(stream, seq, value, site=SITE):
     profile, depth, channel = stream
-    pub = Pub(Topic(site, profile, depth, channel), seq, T0 + 900 * seq, value)
+    pub = Pub(site, RawReading(profile, depth, channel, value, T0 + 900 * seq, seq))
     return render_frame(pub)
 
 
@@ -183,7 +183,7 @@ class DeliveryMachine(RuleBasedStateMachine):
         # The gateway dies in mid-append of a new reading: half of its row
         # reaches the partition, no ACK goes out, and a new gateway starts.
         seq = self.next_seq(stream, gap)
-        row = StoredRow(*stream, IN_RANGE[stream[2]], T0 + 900 * seq, seq, T0)
+        row = RawReading(*stream, IN_RANGE[stream[2]], T0 + 900 * seq, seq, T0)
         Store(self.root).append(row)
         path = os.path.join(self.root, row.profile_id, iso_utc(row.timestamp)[:10] + ".csv")
         with open(path, "rb+") as f:

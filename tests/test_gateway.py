@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import os
 import random
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from soilnet import gateway as gateway_module, store as store_module
 from soilnet.core import FIELD_CALIBRATION, Channel, RawReading
 from soilnet.gateway import BindFailure, Gateway, GatewayClient, TransportClosed, serve
-from soilnet.protocol import (MAX_FRAME_BYTES, PROTO_VERSION, Ack, Err, Pub, Topic, parse_frame,
+from soilnet.protocol import (MAX_FRAME_BYTES, PROTO_VERSION, Ack, Err, Pub, parse_frame,
                               render_frame)
 from soilnet.sim import ProfileConfig, default_field_model, run_node, step, tick_times
 from soilnet.store import CHECKPOINT, Store, export_csv
@@ -75,7 +76,7 @@ class TestPublish:
         f.write(b"PUB complete junk\n")
         f.flush()
         assert f.readline().startswith(b"ERR malformed")
-        pub = Pub(Topic("s", "p1", 5, Channel.MOISTURE_VOLTAGE), 1, T0, 1.3)
+        pub = Pub("s", reading(seq=1))
         f.write(render_frame(pub))
         f.flush()
         assert f.readline() == b"ACK 1\n"
@@ -130,7 +131,7 @@ class TestPublish:
 
     def test_oversized_line_is_one_malformed_frame(self, gw):
         sock = socket.create_connection(gw.bound_addr, timeout=5)
-        pub = Pub(Topic("s", "p1", 5, Channel.MOISTURE_VOLTAGE), 1, T0, 1.3)
+        pub = Pub("s", reading(seq=1))
         with sock, sock.makefile("rwb") as f:
             f.write(b"PUB " + b"x" * 10000 + b"\n" + render_frame(pub))
             f.flush()
@@ -239,6 +240,21 @@ class TestClientQueue:
         assert client.counters["acked"] == 3
         assert not client.buffer
 
+    def test_pub_lines_of_a_simulated_day_bytes_pinned(self, monkeypatch):
+        # What a node sends for one seeded day, queued while the gateway is
+        # unreachable: 97 ticks of 8 PUB lines, as the client first rendered them.
+        client = GatewayClient(("127.0.0.1", 1), node_id="n1", site="farm", max_attempts=1)
+        monkeypatch.setattr(client, "connect", mock.Mock(side_effect=TransportClosed("offline")))
+        profile, fieldm = ProfileConfig("p1", seed=7), default_field_model()
+        for t_s in tick_times(86400, 900):
+            for r in step(profile, fieldm, FIELD_CALIBRATION, t_s, start_ts=T0):
+                assert client.publish(r) == "buffered"
+        data = b"".join(client.buffer)
+        assert (len(client.buffer), len(data)) == (776, 55384)
+        assert data.startswith(b"PUB site/farm/profile/p1/depth/5/moisture 1 1700000000 ")
+        assert (hashlib.sha256(data).hexdigest()
+                == "af7a4afa69c73bb6c0f88a1fba23fbfb45dfb9134ca424191a2e6c449936fdee")
+
     @pytest.mark.parametrize("profile", ["p 1", "p\u00e9", "p" * 600],
                              ids=["space", "non-ascii", "oversized"])
     def test_unrenderable_reading_is_rejected_and_never_queued(self, tmp_path, monkeypatch,
@@ -273,8 +289,7 @@ class TestClientQueue:
             gw.server_close()
         assert render.call_count == 1
         r = reading(seq=1)
-        line = render_frame(Pub(Topic("s", r.profile_id, r.depth_cm, r.channel),
-                                r.seq, r.timestamp, r.value))
+        line = render_frame(Pub("s", r))
         assert client.sent == [line, line]
         assert (counters["accepted"], counters["duplicate"]) == (1, 1)
         assert client.counters["retries"] == 2
@@ -283,7 +298,7 @@ class TestClientQueue:
         monkeypatch.setattr(gateway_module, "BUFFER_MAX", 2)
         client = GatewayClient(("127.0.0.1", 1), node_id="n1", site="s", max_attempts=1)
         assert [client.publish(reading(seq=seq)) for seq in (1, 2, 3)] == ["buffered"] * 3
-        assert [parse_frame(line).seq for line in client.buffer] == [2, 3]
+        assert [parse_frame(line).reading.seq for line in client.buffer] == [2, 3]
         assert client.counters["dropped_overflow"] == 1
 
     @settings(max_examples=100, deadline=None)
@@ -306,13 +321,13 @@ class TestClientQueue:
                 gw.server_close()
         seen = {}
         for pub in map(parse_frame, client.sent):
-            seen.setdefault(pub.topic.depth_cm, []).append(pub.seq)
+            seen.setdefault(pub.reading.depth_cm, []).append(pub.reading.seq)
         for seqs in seen.values():
             assert seqs == sorted(seqs)
         stored_keys = [(r.depth_cm, r.seq) for r in stored]
         assert len(set(stored_keys)) == len(stored_keys)
         unaccounted = {(r.depth_cm, r.seq) for r in published} - set(stored_keys) - {
-            (pub.topic.depth_cm, pub.seq) for pub in map(parse_frame, client.buffer)}
+            (pub.reading.depth_cm, pub.reading.seq) for pub in map(parse_frame, client.buffer)}
         dropped = client.counters["dropped_overflow"]
         assert len(unaccounted) <= dropped
         sent_once = len(published) - len(client.buffer) - dropped
@@ -509,9 +524,7 @@ class TestSessionReplay:
 
     def test_restart_on_torn_row_stores_the_reading_once(self, tmp_path):
         def pub_line(seq):
-            r = reading(seq=seq)
-            topic = Topic("s", r.profile_id, r.depth_cm, r.channel)
-            return render_frame(Pub(topic, r.seq, r.timestamp, r.value))
+            return render_frame(Pub("s", reading(seq=seq)))
 
         root = str(tmp_path / "data")
         gw1 = Gateway(("127.0.0.1", 0), Store(root), site="s")
@@ -618,7 +631,7 @@ class TestFuzz:
             sock_f.write(self._random_line(rng))
         sock_f.flush()
         # Connection still serves a valid frame afterwards.
-        pub = Pub(Topic("s", "pz", 5, Channel.MOISTURE_VOLTAGE), 1, T0, 1.3)
+        pub = Pub("s", reading(seq=1, profile="pz"))
         sock_f.write(render_frame(pub))
         sock_f.flush()
         deadline = 400

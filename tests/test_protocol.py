@@ -1,19 +1,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from soilnet.core import Channel
+from soilnet.core import TS_RANGE, Channel, RawReading
 from soilnet.protocol import (
-    TS_RANGE,
     Ack,
     Err,
     GatewayState,
     Hello,
     Malformed,
     Pub,
-    Topic,
     Verdict,
     classify_line,
     parse_frame,
+    parse_topic,
     render_frame,
     validate_and_order,
 )
@@ -26,20 +25,18 @@ segment = st.text(
     max_size=12,
 )
 
-topics = st.builds(
-    Topic,
-    site=segment,
-    profile_id=segment,
-    depth_cm=st.integers(1, 500),
-    channel=st.sampled_from(list(Channel)),
-)
-
 pubs = st.builds(
     Pub,
-    topic=topics,
-    seq=st.integers(1, 2**31),
-    timestamp=st.integers(0, 2**32),
-    value=st.floats(allow_nan=False, allow_infinity=False, width=64),
+    site=segment,
+    reading=st.builds(
+        RawReading,
+        profile_id=segment,
+        depth_cm=st.integers(1, 500),
+        channel=st.sampled_from(list(Channel)),
+        value=st.floats(allow_nan=False, allow_infinity=False, width=64),
+        timestamp=st.integers(0, 2**32),
+        seq=st.integers(1, 2**31),
+    ),
 )
 
 frames = st.one_of(
@@ -50,14 +47,20 @@ frames = st.one_of(
 )
 
 
+def _moisture(site="farm", profile="p1"):
+    return Pub(site, RawReading(profile, 5, Channel.MOISTURE_VOLTAGE, 1.23, 1700000000, 42))
+
+
 class TestTopic:
     def test_render(self):
-        t = Topic("farm", "p1", 5, Channel.MOISTURE_VOLTAGE)
-        assert t.render() == "site/farm/profile/p1/depth/5/moisture"
+        assert (render_frame(_moisture())
+                == b"PUB site/farm/profile/p1/depth/5/moisture 42 1700000000 1.23\n")
 
-    @given(topics)
-    def test_render_parse_bijection(self, topic):
-        assert Topic.parse(topic.render()) == topic
+    @given(pubs)
+    def test_render_parse_bijection(self, pub):
+        topic = render_frame(pub).split(b" ")[1].decode()
+        r = pub.reading
+        assert parse_topic(topic) == (pub.site, r.profile_id, r.depth_cm, r.channel)
 
     @pytest.mark.parametrize(
         "bad",
@@ -76,24 +79,25 @@ class TestTopic:
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(Malformed):
-            Topic.parse(bad)
+            parse_topic(bad)
 
     def test_parse_cache_is_bounded_and_returns_equal_topics(self):
         s = "site/farm/profile/p1/depth/5/moisture"
-        assert Topic.parse(s) == Topic.parse(s) == Topic("farm", "p1", 5, Channel.MOISTURE_VOLTAGE)
-        assert Topic.parse.cache_info().maxsize is not None
+        assert parse_topic(s) == parse_topic(s) == ("farm", "p1", 5, Channel.MOISTURE_VOLTAGE)
+        assert parse_topic.cache_info().maxsize is not None
 
     def test_render_rejects_bad_segment(self):
         with pytest.raises(Malformed):
-            Topic("a/b", "p1", 5, Channel.MOISTURE_VOLTAGE).render()
+            render_frame(_moisture(site="a/b"))
         with pytest.raises(Malformed):
-            Topic("ok", "p 1", 5, Channel.MOISTURE_VOLTAGE).render()
+            render_frame(_moisture(profile="p 1"))
 
 
 class TestParseFrame:
     def test_pub_example(self):
         f = parse_frame(b"PUB site/farm/profile/p1/depth/5/moisture 42 1700000000 1.23\n")
-        assert f == Pub(Topic("farm", "p1", 5, Channel.MOISTURE_VOLTAGE), 42, 1700000000, 1.23)
+        assert f == _moisture()
+        assert f.reading.recv_timestamp is None
 
     def test_hello_ack_err(self):
         assert parse_frame(b"HELLO node7 1\n") == Hello("node7", 1)
@@ -125,7 +129,7 @@ class TestParseFrame:
     def test_timestamp_range_ends_accepted(self):
         for ts in TS_RANGE:
             line = f"PUB site/a/profile/b/depth/5/moisture 1 {ts} 1.0\n".encode()
-            assert parse_frame(line).timestamp == ts
+            assert parse_frame(line).reading.timestamp == ts
 
     def test_bytes_input(self):
         f = parse_frame(b"ACK 7\n")
@@ -144,7 +148,7 @@ class TestParseFrame:
 
 
 def _pub(seq=1, value=1.30, depth=5, channel=Channel.MOISTURE_VOLTAGE):
-    return Pub(Topic("s", "p1", depth, channel), seq, 1700000000, value)
+    return Pub("s", RawReading("p1", depth, channel, value, 1700000000, seq))
 
 
 class TestValidateAndOrder:
@@ -186,7 +190,7 @@ class TestValidateAndOrder:
 
     def test_foreign_site_is_refused_before_dedup(self):
         state = GatewayState("A")
-        foreign = Pub(Topic("B", "p1", 5, Channel.MOISTURE_VOLTAGE), 1, 1700000000, 1.3)
+        foreign = Pub("B", RawReading("p1", 5, Channel.MOISTURE_VOLTAGE, 1.3, 1700000000, 1))
         assert validate_and_order(state, foreign, store=pytest.fail) is Verdict.FOREIGN_SITE
         assert (state.foreign_site, state.pub_total, state.last_seen) == (1, 1, {})
         assert state.counters_consistent()
@@ -208,7 +212,7 @@ class TestClassifyLine:
         assert state.malformed == 1 and state.counters_consistent()
 
     def test_malformed_topic_sent_twice_is_answered_and_counted_twice(self):
-        # A failed Topic.parse is not cached, so the repeat is checked again.
+        # A failed parse_topic is not cached, so the repeat is checked again.
         state = GatewayState("s")
         line = b"PUB site/s/profile/p1/depth/0/moisture 1 1700000000 1.3\n"
         replies = [classify_line(state, line, pytest.fail) for _ in range(2)]

@@ -16,12 +16,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from soilnet import store as store_module
-from soilnet.core import FIELD_CALIBRATION, Channel, RawReading, apply_calibration
+from soilnet.core import FIELD_CALIBRATION, TS_RANGE, Channel, RawReading, apply_calibration
 from soilnet.store import (
     CHECKPOINT,
     EXPORT_FIELDS,
     Store,
-    StoredRow,
     UnknownProfile,
     export,
     export_csv,
@@ -54,8 +53,8 @@ datetime_range = (st.integers(-62135596800, 253402300799)
 
 def make_row(seq=1, ts=T0, depth=5, channel=Channel.MOISTURE_VOLTAGE,
              value=1.30, profile="p1", vwc=None, recv=None):
-    return StoredRow(profile, depth, channel, value, ts, seq,
-                     recv_timestamp=ts if recv is None else recv, vwc_percent=vwc)
+    return RawReading(profile, depth, channel, value, ts, seq,
+                      recv_timestamp=ts if recv is None else recv, vwc_percent=vwc)
 
 
 @pytest.fixture
@@ -149,13 +148,6 @@ class TestAppendQuery:
         assert len(half) == 96
         full = store.query(start_ts=T0, end_ts=T0 + 48 * 3600 + 1)
         assert len(full) == 193
-
-    def test_depth_and_channel_filters(self, store):
-        store.append(make_row(seq=1, depth=5))
-        store.append(make_row(seq=1, depth=50))
-        store.append(make_row(seq=1, depth=5, channel=Channel.TEMPERATURE_C, value=20.0))
-        assert len(store.query(depths={5})) == 2
-        assert len(store.query(channels={Channel.TEMPERATURE_C})) == 1
 
     def test_unknown_profile_only_when_store_nonempty(self, store):
         store.append(make_row(profile="p1"))
@@ -433,7 +425,7 @@ instants = node_ts | st.integers(DAY0 - 86400, DAY0 + 5 * 86400)
                          min_size=1, max_size=30),
        data=st.data())
 def test_windowed_query_matches_naive_oracle(readings, data):
-    rows = [StoredRow(p, depth, ch, 1.25 + i / 64, ts, i + 1, ts + skew)
+    rows = [RawReading(p, depth, ch, 1.25 + i / 64, ts, i + 1, ts + skew)
             for i, (p, depth, ch, ts, skew) in enumerate(readings)]
     with tempfile.TemporaryDirectory() as root:
         store = Store(root)
@@ -452,8 +444,6 @@ def test_windowed_query_matches_naive_oracle(readings, data):
                 "profile_id": data.draw(st.sampled_from([None, *profiles])),
                 "start_ts": start,
                 "end_ts": end,
-                "depths": data.draw(st.none() | st.sets(st.sampled_from([5, 15, 50]))),
-                "channels": data.draw(st.none() | st.sets(st.sampled_from(list(Channel)))),
             }
             assert store.query(**kw) == naive_query(rows, **kw)
 
@@ -502,7 +492,7 @@ def _tree(root) -> dict:
                        min_size=1, max_size=40),
        data=st.data())
 def test_append_rows_writes_the_naive_lines_in_order(fields, data):
-    rows = [StoredRow(p, depth, ch, value, ts, seq, ts + skew, vwc)
+    rows = [RawReading(p, depth, ch, value, ts, seq, ts + skew, vwc)
             for p, depth, ch, value, ts, seq, skew, vwc in fields]
     cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
     batches = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
@@ -559,6 +549,28 @@ def test_reading_without_receive_time_stores_nothing(tmp_path, store):
         store.append_rows([make_row(seq=2, profile="p2"), unreceived])
     assert _tree(tmp_path) == before
     assert store.last_seqs() == Store(store.root).last_seqs() == seqs
+
+
+@pytest.mark.parametrize("clocks", [(TS_RANGE[0] - 1, T0), (T0, TS_RANGE[0] - 1),
+                                    (TS_RANGE[1] + 1, T0), (T0, TS_RANGE[1] + 1)],
+                         ids=["ts-year-999", "recv-year-999", "ts-year-10000", "recv-year-10000"])
+def test_clock_outside_ts_range_stores_nothing(tmp_path, store, clocks):
+    # Year 999 encodes, as "999-12-31", but no reader reads it back: the
+    # batch raises before a byte is written.
+    store.append_rows([make_row(seq=1), make_row(seq=1, profile="p2")])
+    seqs = store.last_seqs()
+    before = _tree(tmp_path)
+    ts, recv = clocks
+    with pytest.raises(ValueError):
+        store.append_rows([make_row(seq=2, profile="p2"), make_row(seq=2, ts=ts, recv=recv)])
+    assert _tree(tmp_path) == before
+    assert store.last_seqs() == Store(store.root).last_seqs() == seqs
+    # The range's ends are stored and read back.
+    ends = [make_row(seq=3, ts=TS_RANGE[0], recv=TS_RANGE[1]),
+            make_row(seq=4, ts=TS_RANGE[1], recv=TS_RANGE[0])]
+    store.append_rows(ends)
+    assert store.query(profile_id="p1", start_ts=TS_RANGE[0], end_ts=T0) == ends[:1]
+    assert store.query(profile_id="p1", start_ts=T0 + 1) == ends[1:]
 
 
 def _append_one_row_at_a_time(root, depth, count, barrier):
@@ -666,7 +678,7 @@ def test_foreign_lines_are_skipped_and_counted(ops):
         written, injected = [], 0
         for op, arg in ops:
             if op == "store":
-                rows = [StoredRow(p, 5, ch, 1.25, ts, len(written) + i + 1, ts)
+                rows = [RawReading(p, 5, ch, 1.25, ts, len(written) + i + 1, ts)
                         for i, (p, ch, ts) in enumerate(arg)]
                 store.append_rows(rows)
                 written += rows
@@ -794,9 +806,9 @@ special_floats = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=st.lists(st.builds(StoredRow, markup_profiles, st.integers(1, 200),
-                               st.sampled_from(list(Channel)), special_floats, node_ts,
-                               st.integers(1, 2**40), node_ts, st.none() | special_floats),
+@given(rows=st.lists(st.builds(RawReading, markup_profiles, st.integers(1, 200),
+                                st.sampled_from(list(Channel)), special_floats, node_ts,
+                                st.integers(1, 2**40), node_ts, st.none() | special_floats),
                      max_size=6))
 @example(rows=[])
 def test_json_and_xml_exports_match_naive_oracles(rows):
