@@ -127,7 +127,7 @@ def parse_frame(data: bytes) -> Frame:
     if not line or line != line.strip() or "\r" in line:
         raise Malformed("bad framing")
     toks = line.split(" ")
-    if any(t == "" for t in toks):
+    if "" in toks:
         raise Malformed("empty token (double space?)")
     kind = toks[0]
     if kind == "PUB":
@@ -141,14 +141,14 @@ def parse_frame(data: bytes) -> Frame:
         if not TS_RANGE[0] <= ts <= TS_RANGE[1]:
             raise Malformed("timestamp outside years 1000-9999")
         return Pub(site, RawReading(profile_id, depth_cm, channel, _parse_value(toks[4]), ts, seq))
-    if kind == "HELLO":
-        if len(toks) != 3:
-            raise Malformed("HELLO wants 2 fields")
-        return Hello(_check_segment(toks[1], "node_id"), _parse_int(toks[2], "proto_version"))
     if kind == "ACK":
         if len(toks) != 2:
             raise Malformed("ACK wants 1 field")
         return Ack(_parse_int(toks[1], "seq"))
+    if kind == "HELLO":
+        if len(toks) != 3:
+            raise Malformed("HELLO wants 2 fields")
+        return Hello(_check_segment(toks[1], "node_id"), _parse_int(toks[2], "proto_version"))
     if kind == "ERR":
         if len(toks) < 3:
             raise Malformed("ERR wants code and message")
@@ -156,17 +156,29 @@ def parse_frame(data: bytes) -> Frame:
     raise Malformed(f"unknown frame type {_quote(kind)}")
 
 
+# One cache per process, like parse_topic's: a node renders 8 streams, the
+# benchmark's client 32. The key holds the depth as rendered, so depths
+# that compare equal but render apart (5, 5.0 and True; 0.0 and -0.0) never
+# share a prefix; typed=True keeps apart the other segments' types too, a
+# str channel from a Channel. A raised Malformed, or any other error, is not
+# cached, so a bad segment is checked again each time.
+@functools.lru_cache(maxsize=1024, typed=True)
+def _pub_prefix(site: str, profile_id: str, depth: str, channel: Channel) -> str:
+    """A stream's PUB line up to its seq: the frame type and the topic."""
+    return (f"PUB site/{_check_segment(site, 'site')}"
+            f"/profile/{_check_segment(profile_id, 'profile')}/depth/{depth}/{channel.value} ")
+
+
 def render_frame(frame: Frame) -> bytes:
     """The frame's line; ValueError if it is not ASCII or over 512 bytes."""
     if isinstance(frame, Pub):
         r = frame.reading
-        line = (f"PUB site/{_check_segment(frame.site, 'site')}"
-                f"/profile/{_check_segment(r.profile_id, 'profile')}"
-                f"/depth/{r.depth_cm}/{r.channel.value} {r.seq} {r.timestamp} {r.value!r}\n")
-    elif isinstance(frame, Hello):
-        line = f"HELLO {frame.node_id} {frame.proto_version}\n"
+        line = (f"{_pub_prefix(frame.site, r.profile_id, f'{r.depth_cm}', r.channel)}"
+                f"{r.seq} {r.timestamp} {r.value!r}\n")
     elif isinstance(frame, Ack):
         line = f"ACK {frame.seq}\n"
+    elif isinstance(frame, Hello):
+        line = f"HELLO {frame.node_id} {frame.proto_version}\n"
     elif isinstance(frame, Err):
         line = f"ERR {frame.code} {frame.message}\n"
     else:

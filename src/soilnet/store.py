@@ -157,7 +157,8 @@ def _row_values(row: RawReading) -> tuple:
     ts = iso_utc(row.timestamp)
     recv = ts if row.recv_timestamp == row.timestamp else iso_utc(row.recv_timestamp)
     vwc = row.vwc_percent
-    return (ts, recv, row.profile_id, row.depth_cm, row.channel.value, row.seq,
+    # _value_: the channel's string, without the call of Enum.value's property.
+    return (ts, recv, row.profile_id, row.depth_cm, row.channel._value_, row.seq,
             repr(row.value), "" if vwc is None else repr(vwc))
 
 
@@ -168,6 +169,14 @@ def _csv_field(text: str) -> str:
     if any(c in text for c in ',"\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _check_clocks(row: RawReading) -> None:
+    """ValueError unless both clocks of ``row`` lie in ``core.TS_RANGE``."""
+    lo, hi = TS_RANGE
+    if not (lo <= row.timestamp <= hi and lo <= row.recv_timestamp <= hi):
+        raise ValueError(f"clock outside years 1000-9999: timestamp {row.timestamp},"
+                         f" recv_timestamp {row.recv_timestamp}")
 
 
 def _csv_line(row: RawReading) -> str:
@@ -185,10 +194,12 @@ class Store:
     Durability: ``append_rows`` opens each partition file of its batch,
     hands that partition's rows to the operating system in one write() and
     closes the file, so no handle stays open and a crash of the writing
-    process loses no row of a batch that has returned. The gateway appends
-    one row per batch, before its ACK; ``simulate --offline`` one profile's
-    node day, so a crash loses at most that day's unwritten rows. There is
-    no fsync: a crash of the host can lose rows still in its page cache."""
+    process loses no row of a batch that has returned. ``append``, the
+    gateway's path (one row before each ACK), is a batch of one row without
+    the batch's grouping; both go through one per-partition write routine,
+    ``_append_partition``. ``simulate --offline`` appends one profile's node
+    day per batch, so a crash loses at most that day's unwritten rows. There
+    is no fsync: a crash of the host can lose rows still in its page cache."""
 
     def __init__(self, root: str):
         self.root = root
@@ -201,8 +212,12 @@ class Store:
         os.makedirs(root, exist_ok=True)
 
     def append(self, row: RawReading) -> None:
-        """Append one row (see the class docstring for durability)."""
-        self.append_rows([row])
+        """Append one row, as ``append_rows([row])`` does, without its
+        per-batch grouping: the gateway's path, one row before each ACK."""
+        _check_clocks(row)
+        key = (row.profile_id, row.timestamp // DAY_S)
+        path = self._paths.get(key) or self._path(key)
+        self._append_partition(path, _csv_line(row).encode("ascii"), (row,))
 
     def append_rows(self, rows: Iterable[RawReading]) -> None:
         """Append ``rows``, in order within each partition, with one write()
@@ -212,57 +227,64 @@ class Store:
         Each written partition's checkpoint entry is kept up to date in memory,
         for ``checkpoint`` to save, unless the size shows another writer's rows:
         then the entry stays as it was, and the save reads past it."""
-        lo, hi = TS_RANGE
         batches: dict[tuple[str, int], list[RawReading]] = {}
         for row in rows:
-            if not (lo <= row.timestamp <= hi and lo <= row.recv_timestamp <= hi):
-                raise ValueError(f"clock outside years 1000-9999: timestamp {row.timestamp},"
-                                 f" recv_timestamp {row.recv_timestamp}")
+            _check_clocks(row)
             key = (row.profile_id, row.timestamp // DAY_S)
             batch = batches.get(key)
             if batch is None:
                 batch = batches[key] = []
             batch.append(row)
-        encoded = []
-        for key, batch in batches.items():
-            path = self._paths.get(key)
-            if path is None:
-                pid = key[0]
-                if not plain_segment(pid):
-                    raise ValueError(f"profile id {pid!r} is not a printable directory name")
-                path = self._paths[key] = os.path.join(self.root, pid, f"{_utc_date(key[1])}.csv")
-            encoded.append((path, "".join(map(_csv_line, batch)).encode("ascii"), batch))
+        encoded = [(self._paths.get(key) or self._path(key),
+                    "".join(map(_csv_line, batch)).encode("ascii"), batch)
+                   for key, batch in batches.items()]
         for path, data, batch in encoded:
-            try:
-                fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-            except FileNotFoundError:  # the profile's first partition
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)  # until close: see the module docstring
-                size = os.lseek(fd, 0, os.SEEK_END)
-                if size and os.pread(fd, 1, size - 1) != b"\n":
-                    size = os.pread(fd, size, 0).rfind(b"\n") + 1
-                    os.ftruncate(fd, size)
-                if size == 0:
-                    _write_all(fd, _HEADER)
-                    size = len(_HEADER)
-                if size == len(_HEADER):  # no row yet (its bytes are checked at save)
-                    entry = self._covered[path] = _Covered(size, _HEADER_CRC, {}, None, 0)
-                else:
-                    entry = self._covered.get(path)
-                _write_all(fd, data)
-                if entry is not None and entry.size == size:  # else another writer was here
-                    entry.size += len(data)
-                    entry.crc = zlib.crc32(data, entry.crc)
-                    entry.stat = None
-                    seqs = entry.seqs
-                    for row in batch:
-                        stream = (row.profile_id, row.depth_cm, row.channel.value)
-                        if row.seq > seqs.get(stream, 0):
-                            seqs[stream] = row.seq
-            finally:
-                os.close(fd)
+            self._append_partition(path, data, batch)
+
+    def _path(self, key: tuple[str, int]) -> str:
+        """The path of the partition ``key`` (profile, day since the epoch),
+        kept in ``_paths``; ValueError for a profile id that cannot name a
+        directory."""
+        pid, day = key
+        if not plain_segment(pid):
+            raise ValueError(f"profile id {pid!r} is not a printable directory name")
+        path = self._paths[key] = os.path.join(self.root, pid, f"{_utc_date(day)}.csv")
+        return path
+
+    def _append_partition(self, path: str, data: bytes, rows: Iterable[RawReading]) -> None:
+        """Append ``data``, the encoded ``rows``, to the partition ``path``
+        under its flock: cut a torn last line, write the header into an
+        empty file, write, and update the partition's checkpoint entry."""
+        try:
+            fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        except FileNotFoundError:  # the profile's first partition
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # until close: see the module docstring
+            size = os.lseek(fd, 0, os.SEEK_END)
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                size = os.pread(fd, size, 0).rfind(b"\n") + 1
+                os.ftruncate(fd, size)
+            if size == 0:
+                _write_all(fd, _HEADER)
+                size = len(_HEADER)
+            if size == len(_HEADER):  # no row yet (its bytes are checked at save)
+                entry = self._covered[path] = _Covered(size, _HEADER_CRC, {}, None, 0)
+            else:
+                entry = self._covered.get(path)
+            _write_all(fd, data)
+            if entry is not None and entry.size == size:  # else another writer was here
+                entry.size += len(data)
+                entry.crc = zlib.crc32(data, entry.crc)
+                entry.stat = None
+                seqs = entry.seqs
+                for row in rows:
+                    stream = (row.profile_id, row.depth_cm, row.channel._value_)
+                    if row.seq > seqs.get(stream, 0):
+                        seqs[stream] = row.seq
+        finally:
+            os.close(fd)
 
     def profiles(self) -> list[str]:
         if not os.path.isdir(self.root):

@@ -273,6 +273,19 @@ class TestClientQueue:
         assert (client.counters["rejected"], client.counters["acked"]) == (1, 1)
         assert client.counters["retries"] == 0
 
+    def test_depth_equal_to_a_rendered_one_is_still_rendered_as_itself(self, gw):
+        # True == 1 and 5.0 == 5, with equal hashes, but the gateway reads
+        # only a decimal depth: a stream's kept PUB prefix must not carry them.
+        client = make_client(gw)
+        try:
+            statuses = [client.publish(reading(seq=seq, depth=depth))
+                        for seq, depth in ((1, 5), (2, 5.0), (1, 1), (2, True), (2, 5))]
+        finally:
+            client.close()
+        assert statuses == ["acknowledged", "rejected", "acknowledged", "rejected", "acknowledged"]
+        assert sorted((r.depth_cm, r.seq) for r in gw.store.query()) == [(1, 1), (5, 1), (5, 2)]
+        assert gw.counters()["malformed"] == 2
+
     def test_each_reading_is_rendered_once_and_resent_as_rendered(self, tmp_path, monkeypatch):
         gw = Gateway(("127.0.0.1", 0), Store(str(tmp_path / "data")), site="s")
         try:
@@ -549,6 +562,58 @@ class TestSessionReplay:
         assert text.endswith("\n")
         assert [int(rec["seq"]) for rec in csv.DictReader(io.StringIO(text))] == [1, 2, 3]
         assert [r.seq for r in Store(root).query()] == [1, 2, 3]
+
+
+class TestPipelinedTicks:
+    """A node may send a tick's PUBs in one write and then read their ACKs.
+    With Nagle's algorithm on the gateway's socket, each ACK after the
+    first waited for the node's delayed TCP ACK: ~44 ms a tick."""
+
+    def test_ticks_in_one_write_are_answered_at_once_as_one_by_one(self, tmp_path):
+        profile, fieldm = ProfileConfig("p1", seed=5), default_field_model()
+        ticks = [[render_frame(Pub("s", r)) for r in step(profile, fieldm, FIELD_CALIBRATION, t, T0)]
+                 for t in tick_times(49 * 900, 900)]
+        assert (len(ticks), {len(tick) for tick in ticks}) == (50, {8})
+        results = {}
+        for pipelined in (True, False):
+            gw = serve(("127.0.0.1", 0), Store(str(tmp_path / str(pipelined))), site="s")
+            try:
+                replies = []
+                # 50 ticks, then, on a new connection, the last two again,
+                # as a node resends its unacknowledged tail after a reconnect.
+                for session in (ticks, ticks[-2:]):
+                    with socket.create_connection(gw.bound_addr, timeout=5) as sock, \
+                            sock.makefile("rb") as f:
+                        t0 = time.perf_counter()
+                        for tick in session:
+                            for line in [b"".join(tick)] if pipelined else tick:
+                                sock.sendall(line)
+                                if not pipelined:
+                                    replies.append(f.readline())
+                            if pipelined:
+                                replies += [f.readline() for _ in tick]
+                        if session is ticks:
+                            elapsed = time.perf_counter() - t0
+                consistent = gw.state.counters_consistent()
+                counters = gw.counters()
+            finally:
+                gw.shutdown()
+                gw.server_close()
+            results[pipelined] = replies, elapsed
+            assert consistent
+            assert (counters["accepted"], counters["duplicate"]) == (400, 16)
+        (replies, elapsed), (one_by_one, _) = results[True], results[False]
+        assert elapsed < 1.0, f"50 pipelined ticks took {elapsed:.2f} s"
+        assert replies == one_by_one
+        seqs = [seq for seq in range(1, 51) for _ in range(8)] + [49] * 8 + [50] * 8
+        assert replies == [f"ACK {seq}\n".encode() for seq in seqs]
+
+    def test_client_socket_sends_without_delay(self, gw):
+        client = make_client(gw)
+        try:
+            assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            client.close()
 
 
 class TestConcurrency:

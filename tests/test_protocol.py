@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,6 +93,59 @@ class TestTopic:
             render_frame(_moisture(site="a/b"))
         with pytest.raises(Malformed):
             render_frame(_moisture(profile="p 1"))
+
+
+def _uncached_pub_line(pub):
+    """A PUB's line written field by field, with no cached part: the bytes
+    render_frame must give for a reading whose segments are plain."""
+    r = pub.reading
+    return (f"PUB site/{pub.site}/profile/{r.profile_id}/depth/{r.depth_cm}/{r.channel.value}"
+            f" {r.seq} {r.timestamp} {r.value!r}\n").encode("ascii")
+
+
+class TestPubPrefixCache:
+    """render_frame keeps each stream's line up to its seq; a later PUB of
+    that stream must render, or raise, as if nothing had been kept."""
+
+    @pytest.mark.parametrize("first, later", [
+        (5, 5.0), (5.0, 5), (1, True), (True, 1), (0.0, -0.0), (5, Decimal("5")),
+        (Decimal("5"), Decimal("5.0")), (Decimal("5.0"), Decimal("5")),
+    ])
+    def test_depths_that_compare_equal_render_as_themselves(self, first, later):
+        for depth in (first, later, first):
+            pub = Pub("farm", RawReading("p1", depth, Channel.MOISTURE_VOLTAGE, 1.23, 1700000000, 42))
+            assert render_frame(pub) == _uncached_pub_line(pub)
+
+    def test_str_channel_raises_as_without_the_cache(self):
+        def with_channel(channel):
+            return Pub("farm", RawReading("p1", 5, channel, 1.23, 1700000000, 42))
+
+        render_frame(with_channel(Channel.MOISTURE_VOLTAGE))
+        for _ in range(3):
+            # "moisture" == Channel.MOISTURE_VOLTAGE, with the same hash.
+            with pytest.raises(AttributeError):
+                render_frame(with_channel("moisture"))
+        assert render_frame(with_channel(Channel.MOISTURE_VOLTAGE)) == _uncached_pub_line(
+            with_channel(Channel.MOISTURE_VOLTAGE))
+
+    @pytest.mark.parametrize("site, profile", [("a/b", "p1"), ("farm", "p 1"), ("farm", ""),
+                                               ("f\x00", "p1"), ("farm", "..")])
+    def test_bad_segment_raises_on_every_call(self, site, profile):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                render_frame(_moisture(site=site, profile=profile))
+        assert render_frame(_moisture()) == _uncached_pub_line(_moisture())
+
+    def test_non_ascii_segment_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(UnicodeEncodeError):
+                render_frame(_moisture(profile="p\u00e9"))
+
+    @given(st.lists(pubs, min_size=1, max_size=20), st.data())
+    def test_any_sequence_renders_as_uncached(self, seq, data):
+        # Streams repeat, so later PUBs take their prefix from the cache.
+        for pub in seq + [data.draw(st.sampled_from(seq)) for _ in seq]:
+            assert render_frame(pub) == _uncached_pub_line(pub)
 
 
 class TestParseFrame:

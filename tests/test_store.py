@@ -514,6 +514,58 @@ def test_append_rows_writes_the_naive_lines_in_order(fields, data):
     assert export_csv(exported) == HEADER + b"".join(map(naive_csv_line, exported))
 
 
+# What may follow a partition's last whole row: nothing, or half a row.
+TORN_TAILS = [b"", b"2023-11-14T22:28:20Z,2023-11-", b"2023-11-14T22:28:20Z,"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=st.lists(st.tuples(csv_profiles, st.sampled_from([5, 50]), st.sampled_from(list(Channel)),
+                                 tricky_floats, node_ts, st.integers(1, 2**40), recv_skew,
+                                 st.none() | tricky_floats),
+                       min_size=1, max_size=30),
+       # A partition before the appends: none, a torn header, a header, a row and a tail.
+       before=st.sampled_from([None, b"timestamp,recv", HEADER]
+                              + [HEADER + naive_csv_line(make_row(seq=7)) + tail
+                                 for tail in TORN_TAILS]),
+       scanned=st.booleans())
+@example(fields=[("p1", 5, Channel.MOISTURE_VOLTAGE, 1.3, DAY0 + 7, 9, 0, None)],
+         before=HEADER + naive_csv_line(make_row(seq=7)) + TORN_TAILS[1], scanned=True)
+def test_one_row_appends_match_one_batch(fields, before, scanned):
+    # Store.append, the gateway's one-row path, and append_rows share one
+    # write routine: appending rows one at a time, or all in one batch,
+    # gives the same partitions, checkpoint entries and seqs, a torn last
+    # line cut off alike.
+    rows = [RawReading(p, depth, ch, value, ts, seq, ts + skew, vwc)
+            for p, depth, ch, value, ts, seq, skew, vwc in fields]
+    rows.append(make_row(seq=8, ts=T0 + 1))  # so that the partition ``before`` holds grows
+    prior = [make_row(seq=7)] if before and naive_csv_line(make_row(seq=7)) in before else []
+    results = []
+    for one_by_one in (True, False):
+        with tempfile.TemporaryDirectory() as root:
+            if before is not None:  # the partition of node day 0 for p1
+                os.makedirs(os.path.join(root, "p1"))
+                with open(os.path.join(root, "p1", "2023-11-14.csv"), "wb") as f:
+                    f.write(before)
+            store = Store(root)
+            if scanned:  # entries known before the appends, as a gateway's are
+                store.last_seqs()
+            if one_by_one:
+                for row in rows:
+                    store.append(row)
+            else:
+                store.append_rows(rows)
+            partitions = {path: data for path, data in _tree(root).items()
+                          if path.endswith(".csv")}
+            # An entry's stat names this root's files: only whether it is set compares.
+            entries = {os.path.relpath(path, root): (e.size, e.crc, e.seqs, e.stat is None, e.skipped)
+                       for path, e in store._covered.items()}
+            results.append((partitions, entries, store.last_seqs()))
+    assert results[0] == results[1]
+    partitions, _, seqs = results[0]
+    assert all(data.endswith(b"\n") for data in partitions.values())
+    assert seqs == naive_last_seqs(prior + rows)
+
+
 # A profile id names the partition's directory: "" or "." would put a
 # partition in the root, where no query or last_seqs finds it, ".." beside
 # the root; no path can hold a NUL. It is also a CSV field: a line break
