@@ -2,25 +2,26 @@
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. Diagnostics go to
 stderr, data to stdout, so output can be piped.
+
+A module that not every command runs (``sim``, ``gateway``, ``analytics``,
+``csv``, ``signal``) is imported inside the commands that run it, so that a
+start compiles and loads only what its command uses. (Annotations that
+name ``sim`` are never evaluated.)
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
 import os
-import signal
 import sys
 import threading
 import time
 
-from soilnet import core, sim
-from soilnet.analytics import plot_series_csv, render_report, report_to_json, validation_report
+from soilnet import core
 from soilnet.core import Channel, RawReading
-from soilnet.gateway import DEFAULT_PORT, BindFailure, Gateway, GatewayClient
 from soilnet.store import (
     DAY_S,
     Store,
@@ -30,6 +31,7 @@ from soilnet.store import (
 )
 
 ENV_PREFIX = "SOILNET_"
+DEFAULT_PORT = 1884  # 1883-adjacent; real MQTT brokers own 1883
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,6 +88,8 @@ def _load_model(path: str) -> core.CalibrationModel:
 
 
 def _field_model_from_config(cfg: dict, depths: tuple[int, ...]) -> sim.SoilFieldModel:
+    from soilnet import sim
+
     fcfg = cfg.get("field", {})
     base = sim.default_field_model(depths)
     if not fcfg:
@@ -121,6 +125,10 @@ def _report_skipped(skipped: dict[str, int]) -> None:
 
 
 def cmd_serve(args) -> int:
+    import signal
+
+    from soilnet.gateway import BindFailure, Gateway
+
     site = _load_config(args.config).get("site", args.site)
     try:
         gw = Gateway(parse_addr(args.listen), Store(args.data_root), site)
@@ -144,6 +152,8 @@ def cmd_serve(args) -> int:
 
 
 def _profiles_from_config(cfg: dict, args) -> list[sim.ProfileConfig]:
+    from soilnet import sim
+
     if cfg.get("profiles"):
         return [
             sim.ProfileConfig(
@@ -167,6 +177,8 @@ def _profiles_from_config(cfg: dict, args) -> list[sim.ProfileConfig]:
 
 
 def cmd_simulate(args) -> int:
+    from soilnet import sim
+
     cfg = _load_config(args.config)
     profiles = _profiles_from_config(cfg, args)
     cal = _cal_from_config(cfg, args.model)
@@ -189,6 +201,8 @@ def cmd_simulate(args) -> int:
             print(f"checkpoint not saved: {type(e).__name__}: {e}", file=sys.stderr)
         print(f"offline run complete: {len(profiles)} profile(s)", file=sys.stderr)
         return EXIT_OK
+
+    from soilnet.gateway import GatewayClient
 
     addr = parse_addr(args.connect or cfg.get("gateway", f"127.0.0.1:{DEFAULT_PORT}"))
     failures = []
@@ -244,6 +258,8 @@ def _read_csv_pairs(path: str, header_col: int) -> list[tuple[str, str]]:
     """The first two fields of each row of a CSV file, without blank rows
     and without a first row whose ``header_col`` field is no number (a
     header). A row of one field raises ValueError naming its line."""
+    import csv
+
     pairs = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -293,6 +309,8 @@ def _write_out(data: bytes, out: str | None) -> None:
 
 
 def cmd_report(args) -> int:
+    from soilnet.analytics import plot_series_csv, render_report, report_to_json, validation_report
+
     # The input files first, so that a bad one fails before the query.
     model = _load_model(args.model) if args.model else core.FIELD_CALIBRATION
     references = []

@@ -17,13 +17,18 @@ class Channel(str, Enum):
     TEMPERATURE_C = "temperature"
 
 
+# The member itself, so that a test per reading skips the lookup through the
+# enum class.
+_MOISTURE = Channel.MOISTURE_VOLTAGE
+
+
 # Physical sensor ranges used for gateway-side validation.
 MOISTURE_VOLT_RANGE = (0.0, 3.3)
 TEMPERATURE_C_RANGE = (-55.0, 125.0)
 
 
 def value_in_range(channel: Channel, value: float) -> bool:
-    lo, hi = MOISTURE_VOLT_RANGE if channel is Channel.MOISTURE_VOLTAGE else TEMPERATURE_C_RANGE
+    lo, hi = MOISTURE_VOLT_RANGE if channel is _MOISTURE else TEMPERATURE_C_RANGE
     return math.isfinite(value) and lo <= value <= hi
 
 

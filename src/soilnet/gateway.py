@@ -31,7 +31,6 @@ from soilnet.protocol import (
 )
 from soilnet.store import Store
 
-DEFAULT_PORT = 1884  # 1883-adjacent; real MQTT brokers own 1883
 BUFFER_MAX = 10000  # readings a GatewayClient queues; beyond it the oldest is dropped
 CHECKPOINT_INTERVAL_S = 60.0  # a running gateway saves the store's checkpoint this often
 

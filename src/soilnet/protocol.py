@@ -69,13 +69,13 @@ def parse_topic(s: str) -> tuple[str, str, int, Channel]:
     return site, profile_id, int(depth_s), channel
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Hello:
     node_id: str
     proto_version: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Pub:
     """The site a PUB's topic names and the reading it carries, whose
     recv_timestamp stays None until the gateway stores it."""
@@ -84,12 +84,12 @@ class Pub:
     reading: RawReading
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ack:
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Err:
     code: str
     message: str

@@ -65,7 +65,7 @@ import threading
 import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from json.encoder import encode_basestring_ascii
 
 from soilnet.core import (TS_RANGE, CalibrationModel, Channel, RawReading, ZeroVoltage,
@@ -110,26 +110,31 @@ def _strptime_utc(s: str) -> int:
     return int(datetime.strptime(s, _ISO_FORMAT).replace(tzinfo=timezone.utc).timestamp())
 
 
+_EPOCH_ORDINAL = 719163  # date(1970, 1, 1).toordinal()
+
+
 @functools.lru_cache(maxsize=1024)
-def _date_start(date: str) -> int:
-    """Unix seconds at 00:00:00Z of the YYYY-MM-DD ``date``."""
-    return _strptime_utc(date + "T00:00:00Z")
+def _date_start(d: str) -> int:
+    """Unix seconds at 00:00:00Z of the YYYY-MM-DD ``d``; ValueError for
+    no such date. By arithmetic: strptime's first call costs ~2 ms of
+    set-up (its import and locale regexes)."""
+    return (date.fromisoformat(d).toordinal() - _EPOCH_ORDINAL) * DAY_S
 
 
 # Cached: the 8 streams of a stored node tick share its timestamp.
 @functools.lru_cache(maxsize=1024)
 def parse_iso_utc(s: str) -> int:
     """Unix seconds of a YYYY-MM-DDTHH:MM:SSZ (UTC) string, the inverse of
-    ``iso_utc``. The canonical form is read as a cached date plus
+    ``iso_utc``. The canonical form is read as its date's midnight plus
     HH:MM:SS; any other string takes the strptime path, so exactly the
     strings strptime accepts are accepted."""
     m = _ISO_CANONICAL.fullmatch(s)
     if m is not None:
-        date, h, mi, sec = m.groups()
+        ymd, h, mi, sec = m.groups()
         h, mi, sec = int(h), int(mi), int(sec)
         if h < 24 and mi < 60 and sec < 60:
             try:
-                return _date_start(date) + h * 3600 + mi * 60 + sec
+                return _date_start(ymd) + h * 3600 + mi * 60 + sec
             except ValueError:  # no such date; strptime raises it below
                 pass
     return _strptime_utc(s)
@@ -303,7 +308,8 @@ class Store:
         for f in os.listdir(pdir):
             if not f.endswith(".csv"):
                 continue
-            # Only when bounded: the first date parsed costs ~2 ms (strptime's set-up).
+            # Only when bounded: an unbounded read needs no day, and a name that
+            # is no date would pay strptime's ~2 ms set-up.
             day = _file_day(f) if bounded else None
             if day is not None and (first_day is not None and day < first_day
                                     or last_day is not None and day > last_day):
@@ -344,8 +350,8 @@ class Store:
                     ts = fields[4]
                     if (start_ts is None or ts >= start_ts) and (end_ts is None or ts < end_ts):
                         rows.append(RawReading(*fields))
-        rows.sort(key=lambda r: (r.timestamp, r.profile_id, r.depth_cm,
-                                 r.channel.value, r.seq))
+        # A str enum member orders as its value, without Enum.value's property.
+        rows.sort(key=lambda r: (r.timestamp, r.profile_id, r.depth_cm, r.channel, r.seq))
         return rows
 
     def last_seqs(self) -> dict[tuple[str, int, str], int]:

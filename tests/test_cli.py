@@ -146,6 +146,37 @@ def test_no_command_needs_numpy(tmp_path):
         assert json.load(f)["references"][0]["n_pairs"] == 6
 
 
+def test_each_command_loads_only_its_modules(tmp_path):
+    # A start compiles and imports only what its command runs; in a fresh
+    # interpreter, which of the modules below each step has loaded.
+    root = str(tmp_path / "data")
+    watched = ["soilnet.sim", "soilnet.gateway", "soilnet.protocol", "soilnet.analytics",
+               "socketserver", "_strptime"]
+    steps = [
+        ["simulate", "--offline", "--data-root", root, "--duration", "1d",
+         "--start", "2024-01-01T00:00:00Z"],
+        ["export", "--data-root", root, "--start", "2024-01-01T00:00:00Z",
+         "--end", "2024-01-02T00:00:00Z", "--out", str(tmp_path / "out.csv")],
+    ]
+    code = ("import json, sys\n"
+            "watched = json.loads(sys.argv[1])\n"
+            "def loaded(): return [m for m in watched if m in sys.modules]\n"
+            "from soilnet.cli import main\n"
+            "seen = [loaded()]\n"
+            "for argv in json.loads(sys.argv[2]):\n"
+            "    if main(argv) != 0: sys.exit(f'failed: {argv}')\n"
+            "    seen.append(loaded())\n"
+            "print(json.dumps(seen))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(watched), json.dumps(steps)],
+                          env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_simulate, after_export = json.loads(proc.stdout)
+    assert after_import == []
+    assert after_simulate == ["soilnet.sim"]
+    assert after_export == ["soilnet.sim"]  # export itself loads none of them
+    assert os.path.getsize(tmp_path / "out.csv") > 0
+
+
 class TestSimulateOffline:
     def test_row_count(self, offline_store):
         rows = Store(offline_store).query()
