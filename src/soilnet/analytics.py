@@ -1,9 +1,9 @@
 """Validation analytics: RMSE, Pearson correlation, min/max summaries,
 per-depth variability, surface/subsurface contrast and report rendering.
 
-All computations are pure functions over immutable snapshots. Undefined
-statistics (zero variance, zero mean, n < 2) are returned as None rather
-than raised.
+All computations are pure functions: they read the rows they are given
+and change none of them. Undefined statistics (zero variance, zero mean,
+n < 2) are returned as None rather than raised.
 """
 
 from __future__ import annotations
@@ -88,16 +88,35 @@ def _cv(std: float, mean: float) -> float | None:
     return None if mean == 0.0 else std / mean if std else 0.0
 
 
-def summarize(rows: list[RawReading]) -> dict:
-    """The report's ``extrema`` (min/max/mean per channel) and
-    ``depth_stats`` (n/mean/std/CV per depth and channel) entries."""
-    if not rows:
-        raise EmptySeries("summarize of no rows")
+def _value_lists(rows: list[RawReading], boundary_cm: int) -> tuple[dict, dict, dict]:
+    """The values of ``rows``, each list in row order, from one pass: per
+    channel, per (depth, channel) and per (channel, depth < boundary_cm).
+    Row order keeps every statistic's floats as they were: ``math.dist``
+    depends on the order of its terms, and ``min``/``max`` on it where
+    0.0 meets -0.0 or a NaN, so no list is merged from the others."""
     by_channel: dict[Channel, list[float]] = {}
     by_depth: dict[tuple[int, Channel], list[float]] = {}
+    by_layer: dict[tuple[Channel, bool], list[float]] = {}
+    appends = {}  # per (depth, channel), the appends of its three lists
     for row in rows:
-        by_channel.setdefault(row.channel, []).append(row.value)
-        by_depth.setdefault((row.depth_cm, row.channel), []).append(row.value)
+        key = (row.depth_cm, row.channel)
+        fns = appends.get(key)
+        if fns is None:
+            ch = row.channel
+            fns = appends[key] = (
+                by_channel.setdefault(ch, []).append, by_depth.setdefault(key, []).append,
+                by_layer.setdefault((ch, row.depth_cm < boundary_cm), []).append)
+        value = row.value
+        fns[0](value)
+        fns[1](value)
+        fns[2](value)
+    return by_channel, by_depth, by_layer
+
+
+def _summaries(by_channel: dict, by_depth: dict) -> dict:
+    # summarize's entries, from its value lists.
+    if not by_channel:
+        raise EmptySeries("summarize of no rows")
     depth_stats = []
     for (d, ch), vals in sorted(by_depth.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
         mean = _mean(vals)
@@ -113,21 +132,35 @@ def summarize(rows: list[RawReading]) -> dict:
     }
 
 
+def summarize(rows: list[RawReading]) -> dict:
+    """The report's ``extrema`` (min/max/mean per channel) and
+    ``depth_stats`` (n/mean/std/CV per depth and channel) entries."""
+    by_channel, by_depth, _ = _value_lists(rows, SURFACE_BOUNDARY_CM)
+    return _summaries(by_channel, by_depth)
+
+
+def _contrast(by_layer: dict) -> dict:
+    # The layer_contrast entry from its value lists; a side with fewer than
+    # two values has no std, and then no comparison.
+    out = {}
+    for ch in sorted({ch for ch, _ in by_layer}, key=lambda c: c.value):
+        surface_std = sample_std(by_layer.get((ch, True), []))
+        subsurface_std = sample_std(by_layer.get((ch, False), []))
+        out[ch.value] = {"surface_std": surface_std, "subsurface_std": subsurface_std,
+                         "surface_more_variable": None if surface_std is None or subsurface_std is None
+                         else surface_std > subsurface_std}
+    return out
+
+
 def layer_contrast(rows: list[RawReading], boundary_cm: int = SURFACE_BOUNDARY_CM) -> dict:
     """The report's ``layer_contrast`` entry: pooled sample std of surface
-    (< boundary) vs subsurface (>= boundary) values, per channel."""
-    groups: dict[tuple[Channel, bool], list[float]] = {}
-    for row in rows:
-        groups.setdefault((row.channel, row.depth_cm < boundary_cm), []).append(row.value)
-    out = {}
-    for ch in sorted({ch for ch, _ in groups}, key=lambda c: c.value):
-        surface = groups.get((ch, True), [])
-        subsurface = groups.get((ch, False), [])
-        if len(surface) < 2 or len(subsurface) < 2:
-            raise MissingLayer(f"{ch.value}: need data on both sides of {boundary_cm} cm")
-        surface_std, subsurface_std = sample_std(surface), sample_std(subsurface)
-        out[ch.value] = {"surface_std": surface_std, "subsurface_std": subsurface_std,
-                         "surface_more_variable": surface_std > subsurface_std}
+    (< boundary) vs subsurface (>= boundary) values, per channel. Raises
+    MissingLayer where a channel has fewer than two values on a side;
+    ``validation_report`` writes null for what it cannot compute instead."""
+    out = _contrast(_value_lists(rows, boundary_cm)[2])
+    for ch, lc in out.items():
+        if lc["surface_std"] is None or lc["subsurface_std"] is None:
+            raise MissingLayer(f"{ch}: need data on both sides of {boundary_cm} cm")
     return out
 
 
@@ -162,8 +195,11 @@ def validation_report(
 ) -> dict:
     """The report document: each labeled reference series compared with the
     sensor series (aligned by nearest timestamp within half the cadence),
-    then the summaries of the stored rows. ``report_to_json`` writes it as
-    it is; README's "Report JSON" section lists its keys."""
+    then the summaries of the stored rows, grouped in one pass over them.
+    A channel with fewer than two values on a side of the boundary gets
+    None for that side's std and for ``surface_more_variable``.
+    ``report_to_json`` writes the document as it is; README's "Report JSON"
+    section lists its keys."""
     compared = []
     for label, series in references:
         pairs = align_nearest(sensor_series, series, cadence_s / 2.0)
@@ -174,10 +210,11 @@ def validation_report(
         error = rmse(a, b)
         compared.append({"label": label, "rmse_percent": error, "rmse_fraction": error / 100.0,
                          "correlation": pearson(a, b), "n_pairs": len(pairs)})
+    by_channel, by_depth, by_layer = _value_lists(rows, SURFACE_BOUNDARY_CM)
     return {
         "references": compared,
-        **summarize(rows),
-        "layer_contrast": layer_contrast(rows),
+        **_summaries(by_channel, by_depth),
+        "layer_contrast": _contrast(by_layer),
         "boundary_cm": SURFACE_BOUNDARY_CM,
         "std_convention": "sample (n-1)",
     }
@@ -217,10 +254,11 @@ def render_report(doc: dict) -> str:
     lines.append("")
     lines.append(f"LAYER CONTRAST AT {doc['boundary_cm']} CM")
     for ch, lc in doc["layer_contrast"].items():
+        more = lc["surface_more_variable"]
         lines.append(
             f"{ch:<13} surface_std={_fmt(lc['surface_std'])} "
             f"subsurface_std={_fmt(lc['subsurface_std'])} "
-            f"surface_more_variable={lc['surface_more_variable']}"
+            f"surface_more_variable={'undefined' if more is None else more}"
         )
     return "\n".join(lines) + "\n"
 

@@ -324,16 +324,17 @@ def cmd_report(args) -> int:
     if not rows:
         print("no rows in range", file=sys.stderr)
         return EXIT_RUNTIME
-    rows = rows_with_vwc(rows, model)
 
     # Sensor VWC series for reference comparison: calibrated moisture at the
     # shallowest depth present (gravimetric sampling is near-surface), empty
     # when the range holds no moisture rows; a reading the model cannot map
-    # has no VWC and is left out.
-    moisture = [r for r in rows if r.channel is Channel.MOISTURE_VOLTAGE]
-    depth = min((r.depth_cm for r in moisture), default=None)
-    sensor_series = [(r.timestamp, r.vwc_percent) for r in moisture
-                     if r.depth_cm == depth and r.vwc_percent is not None]
+    # has no VWC and is left out. Only this series is calibrated: the
+    # summaries and the plot CSVs read raw values.
+    moisture = Channel.MOISTURE_VOLTAGE
+    depth = min((r.depth_cm for r in rows if r.channel is moisture), default=None)
+    shallow = [r for r in rows if r.depth_cm == depth and r.channel is moisture]
+    sensor_series = [(r.timestamp, r.vwc_percent) for r in rows_with_vwc(shallow, model)
+                     if r.vwc_percent is not None]
     report = validation_report(rows, sensor_series, references, cadence_s=args.cadence)
     sys.stdout.write(render_report(report))
     if args.out_json:

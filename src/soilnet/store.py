@@ -59,17 +59,18 @@ import contextlib
 import fcntl
 import functools
 import json
+import operator
 import os
 import re
 import threading
 import zlib
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring_ascii
 
-from soilnet.core import (TS_RANGE, CalibrationModel, Channel, RawReading, ZeroVoltage,
-                          apply_calibration, plain_segment)
+from soilnet.core import (_MOISTURE, TS_RANGE, CalibrationModel, Channel, RawReading,
+                          ZeroVoltage, apply_calibration, plain_segment)
 
 EXPORT_FIELDS = (
     "timestamp", "recv_timestamp", "profile", "depth_cm",
@@ -323,10 +324,12 @@ class Store:
         start_ts: int | None = None,
         end_ts: int | None = None,
     ) -> list[RawReading]:
-        """Rows in [start_ts, end_ts) on the node clock, sorted by node
-        timestamp then seq; only the partitions of the window's days are
-        read. Raises UnknownProfile only when the store holds other
-        profiles but not the requested one; an empty store yields []."""
+        """A list of the rows in [start_ts, end_ts) on the node clock,
+        sorted by node timestamp then seq; only the partitions of the
+        window's days are read. Each row is built once, as ``_rows`` reads
+        its partition, and those outside the window are then dropped.
+        Raises UnknownProfile only when the store holds other profiles but
+        not the requested one; an empty store yields []."""
         if start_ts is not None and end_ts is not None and start_ts > end_ts:
             raise ValueError("start_ts > end_ts")
         known = self.profiles()
@@ -346,12 +349,12 @@ class Store:
             for path in self._partition_files(pid, first_day, last_day):
                 with open(path, "rb") as f:
                     found, self.skipped[path] = _rows(f.read(), 0)
-                for fields in found:
-                    ts = fields[4]
-                    if (start_ts is None or ts >= start_ts) and (end_ts is None or ts < end_ts):
-                        rows.append(RawReading(*fields))
-        # A str enum member orders as its value, without Enum.value's property.
-        rows.sort(key=lambda r: (r.timestamp, r.profile_id, r.depth_cm, r.channel, r.seq))
+                if start_ts is not None or end_ts is not None:
+                    found = [r for r in found
+                             if (start_ts is None or r.timestamp >= start_ts)
+                             and (end_ts is None or r.timestamp < end_ts)]
+                rows += found
+        rows.sort(key=_QUERY_ORDER)
         return rows
 
     def last_seqs(self) -> dict[tuple[str, int, str], int]:
@@ -483,37 +486,53 @@ def _read_covered(path: str, entry: _Covered | None) -> _Covered:
             and zlib.crc32(memoryview(data)[:entry.size]) == entry.crc):
         start, crc, seqs, skipped = entry.size, entry.crc, dict(entry.seqs), entry.skipped
     rows, more = _rows(data, start)
-    for profile, depth, chan, _, _, seq, _, _ in rows:
-        key = (profile, depth, chan.value)
-        if seq > seqs.get(key, 0):
-            seqs[key] = seq
+    for row in rows:
+        key = (row.profile_id, row.depth_cm, row.channel._value_)
+        if row.seq > seqs.get(key, 0):
+            seqs[key] = row.seq
     end = data.rfind(b"\n") + 1
     return _Covered(end, zlib.crc32(memoryview(data)[start:end], crc), seqs,
                     (st.st_mtime_ns, st.st_ino), skipped + more)
 
 
-def _rows(data: bytes, start: int) -> tuple[list[tuple], int]:
+def _rows(data: bytes, start: int) -> tuple[list[RawReading], int]:
     """The rows (see the module docstring) of the partition bytes ``data``
-    from byte ``start`` (0: the header) to the last newline, each its
-    fields in the reading's order (``core.RawReading``), and how many
-    lines are no rows, a first line other than the header too."""
+    from byte ``start`` (0: the header) to the last newline, each line
+    made straight into a ``core.RawReading``, and how many lines are no
+    rows, a first line other than the header too. ``data`` is checked for
+    ASCII once, and line by line only when some byte is not. Runs of
+    lines share a profile field (a partition is one profile's) and a
+    timestamp (the streams of one tick), so each of those two fields,
+    when equal to the last one that parsed, reuses its parsed value."""
     end = data.rfind(b"\n") + 1
     skipped = 0
     if start == 0 and end:
         start = data.find(b"\n") + 1
         skipped = data[:start] != _HEADER
-    lines = data[start:end - 1].decode("latin-1").split("\n") if start < end else []
+    if start >= end:
+        return [], skipped
+    ascii_only = data.isascii()  # if not, each line is checked
+    lines = data[start:end - 1].decode("latin-1").split("\n")
     rows = []
+    append = rows.append
+    # Memos, each set only from a field that parsed and passed its checks.
+    last_pid = last_ts = profile = t = None
     for line in lines:
+        if not (ascii_only or line.isascii()):
+            continue
         try:
             ts, recv, rest = line.split(",", 2)
             pid, depth, chan, seq, value, vwc = rest.rsplit(",", 5)
-            profile = pid[1:-1].replace('""', '"') if pid[:1] == '"' else pid
-            t = parse_iso_utc(ts)
-            fields = (profile, int(depth), _CHANNELS[chan], float(value), t, int(seq),
-                      t if recv == ts else parse_iso_utc(recv), float(vwc) if vwc else None)
-            if line.isascii() and _csv_field(profile) == pid:
-                rows.append(fields)
+            if pid != last_pid:
+                unquoted = pid[1:-1].replace('""', '"') if pid[:1] == '"' else pid
+                if _csv_field(unquoted) != pid:
+                    continue
+                last_pid, profile = pid, unquoted
+            if ts != last_ts:
+                t, last_ts = parse_iso_utc(ts), ts
+            append(RawReading(profile, int(depth), _CHANNELS[chan], float(value), t, int(seq),
+                              t if recv == ts else parse_iso_utc(recv),
+                              float(vwc) if vwc else None))
         except (ValueError, KeyError):
             pass
     return rows, skipped + len(lines) - len(rows)
@@ -522,6 +541,8 @@ def _rows(data: bytes, start: int) -> tuple[list[tuple], int]:
 _HEADER = (",".join(EXPORT_FIELDS) + "\n").encode("ascii")
 _HEADER_CRC = zlib.crc32(_HEADER)
 _CHANNELS = {c.value: c for c in Channel}
+# Query order; a str enum member orders as its value, without Enum.value's property.
+_QUERY_ORDER = operator.attrgetter("timestamp", "profile_id", "depth_cm", "channel", "seq")
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -602,17 +623,23 @@ def export(rows: list[RawReading], fmt: str) -> bytes:
 
 
 def rows_with_vwc(rows: list[RawReading], model: CalibrationModel) -> list[RawReading]:
-    """Copy of ``rows`` with vwc_percent filled on moisture rows. This is
-    the one place a model applies: the store holds raw readings and is
-    never rewritten, so a refit model reaches all stored history. A
-    voltage the model cannot map (0 V under the reciprocal transform, a
-    reading the gateway accepts) keeps vwc_percent None."""
+    """``rows`` in order, each moisture row replaced by a new row with
+    vwc_percent filled in, other rows as they are; no row of ``rows`` is
+    changed. This is the one place a model applies: the store holds raw
+    readings and is never rewritten, so a refit model reaches all stored
+    history. A voltage the model cannot map (0 V under the reciprocal
+    transform, a reading the gateway accepts) keeps its row, vwc_percent
+    None. ``apply_calibration`` is looked up in this module at each call,
+    so that a traced run can replace it."""
     out = []
+    append = out.append
     for row in rows:
-        if row.channel is Channel.MOISTURE_VOLTAGE:
+        if row.channel is _MOISTURE:
+            value = row.value
             try:
-                row = replace(row, vwc_percent=apply_calibration(model, row.value))
+                row = RawReading(row.profile_id, row.depth_cm, _MOISTURE, value, row.timestamp,
+                                 row.seq, row.recv_timestamp, apply_calibration(model, value))
             except ZeroVoltage:
                 pass
-        out.append(row)
+        append(row)
     return out

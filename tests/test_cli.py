@@ -435,6 +435,36 @@ class TestReport:
             doc = json.load(f)
         assert (doc["references"], list(doc["extrema"])) == ([], ["temperature"])
 
+    def test_report_with_surface_depths_only(self, tmp_path, capsys):
+        # No depth at or below 30 cm: the subsurface std and the comparison
+        # are undefined, null in the JSON, and the rest of the report stands.
+        root, cfg = str(tmp_path / "data"), tmp_path / "site.json"
+        cfg.write_text(json.dumps({"profiles": [{"profile_id": "a", "depths_cm": [5, 15]}]}))
+        assert run_cli(["simulate", "--offline", "--config", str(cfg), "--data-root", root,
+                        "--duration", "1d", "--start", "1700000000"]) == 0
+        moisture = [r for r in Store(root).query() if r.depth_cm == 5
+                    and r.channel.value == "moisture"]
+        ref_path = tmp_path / "gravimetric.csv"
+        ref_path.write_text("".join(
+            f"{r.timestamp},{apply_calibration(FIELD_CALIBRATION, r.value) + 1.0!r}\n"
+            for r in moisture[::8]))
+        capsys.readouterr()
+        out_json = tmp_path / "report.json"
+        assert run_cli(["report", "--data-root", root, "--reference", f"gravimetric={ref_path}",
+                        "--out-json", str(out_json)]) == 0
+        text = capsys.readouterr().out
+        doc = json.loads(out_json.read_bytes())
+        assert doc["references"][0]["n_pairs"] == len(moisture[::8])
+        assert [(d["depth_cm"], d["channel"]) for d in doc["depth_stats"]] == [
+            (5, "moisture"), (5, "temperature"), (15, "moisture"), (15, "temperature")]
+        for channel in ("moisture", "temperature"):
+            contrast = doc["layer_contrast"][channel]
+            assert contrast["surface_std"] > 0
+            assert (contrast["subsurface_std"], contrast["surface_more_variable"]) == (None, None)
+            assert (f"{channel:<13} surface_std={contrast['surface_std']:.4f} "
+                    "subsurface_std=undefined surface_more_variable=undefined\n") in text
+        assert "MINIMUM MOISTURE (V)" in text
+
     def test_reference_without_moisture_rows_has_no_overlap(self, temperature_store, tmp_path,
                                                              capsys):
         ref_path = tmp_path / "gravimetric.csv"

@@ -1,9 +1,11 @@
-"""The names perfbench's traced runs (``perfbench/launch.py``) replace by
-module or class attribute. Each must be the one the program calls, once
-per PUB or per tick, or a traced run would count nothing."""
+"""The names perfbench's traced runs (``perfbench/launch.py`` and the read
+round of ``perfbench/phases.py``) replace by module or class attribute.
+Each must be the one the program calls, once per PUB, per tick or per
+calibrated row, or a traced run would count nothing."""
 
 from soilnet import gateway, sim, store
 from soilnet.cli import main
+from soilnet.core import FIELD_CALIBRATION, Channel, RawReading
 from soilnet.protocol import Ack
 
 PUB = b"PUB site/s/profile/p1/depth/5/moisture 1 1700000000 1.3\n"
@@ -39,3 +41,32 @@ def test_simulate_offline_steps_once_per_tick_through_the_patched_name(tmp_path,
     assert main(["simulate", "--offline", "--data-root", str(tmp_path / "data"),
                  "--duration", "2h", "--start", "1700000000"]) == 0
     assert [args[3] for args, _ in stepped] == list(sim.tick_times(7200, 900))
+
+
+def test_rows_with_vwc_calibrates_each_moisture_row_through_the_patched_name(monkeypatch):
+    calibrated = []
+    monkeypatch.setattr(store, "apply_calibration",
+                        _recording(calibrated, store.apply_calibration))
+    rows = [RawReading("p1", depth, channel, 1.25 + seq / 100, 1700000000 + 900 * seq, seq,
+                       1700000000 + 900 * seq)
+            for seq in (1, 2) for depth in (5, 50) for channel in Channel]
+    out = store.rows_with_vwc(rows, FIELD_CALIBRATION)
+    moisture = [r.value for r in rows if r.channel is Channel.MOISTURE_VOLTAGE]
+    assert [args[1] for args, _ in calibrated] == moisture
+    assert [r.vwc_percent for r in out if r.channel is Channel.MOISTURE_VOLTAGE] == [
+        result for _, result in calibrated]
+
+
+def test_report_calibrates_only_the_compared_series_through_the_patched_name(tmp_path,
+                                                                              monkeypatch):
+    root = str(tmp_path / "data")
+    assert main(["simulate", "--offline", "--data-root", root, "--duration", "2h",
+                 "--start", "1700000000"]) == 0
+    calibrated = []
+    monkeypatch.setattr(store, "apply_calibration",
+                        _recording(calibrated, store.apply_calibration))
+    assert main(["report", "--data-root", root]) == 0
+    rows = store.Store(root).query()
+    shallowest = min(r.depth_cm for r in rows)
+    assert [args[1] for args, _ in calibrated] == [
+        r.value for r in rows if r.depth_cm == shallowest and r.channel is Channel.MOISTURE_VOLTAGE]

@@ -7,7 +7,7 @@ import os
 import random
 import shutil
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from unittest import mock
 from xml.etree import ElementTree as ET
@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from soilnet import store as store_module
-from soilnet.core import FIELD_CALIBRATION, TS_RANGE, Channel, RawReading, apply_calibration
+from soilnet.core import (FIELD_CALIBRATION, TS_RANGE, CalibrationModel, Channel, RawReading,
+                          Transform, ZeroVoltage, apply_calibration)
 from soilnet.store import (
     CHECKPOINT,
     EXPORT_FIELDS,
@@ -762,6 +763,37 @@ def test_foreign_lines_are_skipped_and_counted(ops):
         assert sum(again.skipped.values()) == injected
 
 
+@pytest.mark.parametrize("repeats", [1, 2])
+def test_parse_memo_takes_no_value_from_a_line_that_is_no_row(store, repeats):
+    # The reader reuses a profile field or a timestamp that repeats the last
+    # line's: a line that fails, on either field, must leave no value behind
+    # for the lines after it, a line repeating that field among them.
+    path = os.path.join(store.root, "p1", "2023-11-14.csv")
+    os.makedirs(os.path.dirname(path))
+    ts, later, recv = "2023-11-14T22:13:20Z", "2023-11-14T22:28:20Z", "2023-11-15T01:00:00Z"
+    with open(path, "wb") as f:
+        f.write(HEADER + "".join([
+            f"{ts},{ts},p1,5,moisture,1,1.3,\n",
+            f"{ts},{ts},p1,5,temperature,1,20.5,\n",
+            f'{ts},{ts},",15,moisture,1,1.4,\n' * repeats,  # a lone quote: no profile id
+            f"2023-11-14T25:13:20Z,{ts},p1,15,moisture,1,1.4,\n" * repeats,  # no such hour
+            f"{later},{later},p2,5,moisture,1,1.5,\n",
+            f'{later},{later},"a,b",5,moisture,1,1.6,\n',
+            f"{later},{recv},p1,5,moisture,2,1.35,\n",
+            f"{later},{later},p1,15,moisture,1,1.45,\n",
+        ]).encode("ascii"))
+    t, t2 = parse_iso_utc(ts), parse_iso_utc(later)
+    assert store.query() == [
+        RawReading("p1", 5, Channel.MOISTURE_VOLTAGE, 1.3, t, 1, t),
+        RawReading("p1", 5, Channel.TEMPERATURE_C, 20.5, t, 1, t),
+        RawReading("a,b", 5, Channel.MOISTURE_VOLTAGE, 1.6, t2, 1, t2),
+        RawReading("p1", 5, Channel.MOISTURE_VOLTAGE, 1.35, t2, 2, parse_iso_utc(recv)),
+        RawReading("p1", 15, Channel.MOISTURE_VOLTAGE, 1.45, t2, 1, t2),
+        RawReading("p2", 5, Channel.MOISTURE_VOLTAGE, 1.5, t2, 1, t2),
+    ]
+    assert store.skipped == {path: 2 * repeats}
+
+
 def _parse_back_csv(data: bytes):
     rows = list(csv.DictReader(io.StringIO(data.decode("ascii"))))
     return [_normalize(r) for r in rows]
@@ -886,3 +918,51 @@ class TestRowsWithVwc:
         rows = [make_row(value=1.30)]
         rows_with_vwc(rows, FIELD_CALIBRATION)
         assert rows[0].vwc_percent is None
+
+
+def _replace_oracle(rows, model):
+    # rows_with_vwc as dataclasses.replace writes it: a copy of each moisture
+    # row the model maps, with vwc_percent set; every other row as it is.
+    out = []
+    for row in rows:
+        if row.channel is Channel.MOISTURE_VOLTAGE:
+            try:
+                row = replace(row, vwc_percent=apply_calibration(model, row.value))
+            except ZeroVoltage:
+                pass
+        out.append(row)
+    return out
+
+
+def _exact(row):
+    # Each field with its type; a float by its hex, so -0.0 and NaN compare.
+    return [(type(v), v.hex() if isinstance(v, float) else v)
+            for v in (getattr(row, f.name) for f in fields(RawReading))]
+
+
+volts = st.sampled_from([0.0, -0.0, -1.2, 1.3, 3.3, float("nan")]) | st.floats()
+models = st.sampled_from([FIELD_CALIBRATION,
+                          CalibrationModel(0.5, -2.0, 40.0, Transform.IDENTITY)]) | st.builds(
+    CalibrationModel, st.floats(-100, 100), st.floats(-200, 200), st.floats(-100, 100),
+    st.sampled_from(list(Transform)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.builds(RawReading, st.sampled_from(["p1", "a,b"]), st.sampled_from([5, 50]),
+                               st.sampled_from(list(Channel)), volts, node_ts,
+                               st.integers(1, 2**40), st.none() | node_ts,
+                               st.none() | st.floats()),
+                     max_size=8),
+       model=models)
+@example(rows=[make_row(value=0.0), make_row(value=0.0, vwc=5.0),
+               RawReading("p1", 5, Channel.MOISTURE_VOLTAGE, 1.3, T0, 2),
+               make_row(channel=Channel.TEMPERATURE_C, value=-0.0, vwc=12.5)],
+         model=FIELD_CALIBRATION)
+def test_rows_with_vwc_matches_replace_oracle(rows, model):
+    before = [_exact(r) for r in rows]
+    expected = _replace_oracle(rows, model)
+    got = rows_with_vwc(rows, model)
+    assert [_exact(r) for r in got] == [_exact(r) for r in expected]
+    # The same rows passed through as they are, the same ones new.
+    assert [g is r for g, r in zip(got, rows)] == [e is r for e, r in zip(expected, rows)]
+    assert [_exact(r) for r in rows] == before
