@@ -25,7 +25,7 @@ from soilnet.core import Channel, RawReading
 from soilnet.store import (
     DAY_S,
     Store,
-    export,
+    export_chunks,
     parse_iso_utc,
     rows_with_vwc,
 )
@@ -282,30 +282,34 @@ def _is_number(tok: str) -> bool:
         return False
 
 
+def _window(args) -> tuple[int | None, int | None]:
+    return (parse_instant(args.start) if args.start else None,
+            parse_instant(args.end) if args.end else None)
+
+
 def _query_args(store: Store, args) -> list[RawReading]:
-    start = parse_instant(args.start) if args.start else None
-    end = parse_instant(args.end) if args.end else None
-    rows = store.query(profile_id=args.profile, start_ts=start, end_ts=end)
+    rows = store.query(args.profile, *_window(args))
     _report_skipped(store.skipped)
     return rows
 
 
 def cmd_export(args) -> int:
-    model = _load_model(args.model) if args.model else None  # before the query: fail fast
-    rows = _query_args(Store(args.data_root), args)
+    """Write the export one node day at a time, as ``Store.query_days``
+    reads it, so that it holds one day's rows, not the study period's.
+    A bad model file, profile or window fails before any byte is written."""
+    model = _load_model(args.model) if args.model else None
+    store = Store(args.data_root)
+    days = store.query_days(args.profile, *_window(args))
     if model is not None:
-        rows = rows_with_vwc(rows, model)
-    data = export(rows, args.format)
-    _write_out(data, args.out)
-    return EXIT_OK
-
-
-def _write_out(data: bytes, out: str | None) -> None:
-    if out:
-        with open(out, "wb") as f:
-            f.write(data)
+        days = (rows_with_vwc(rows, model) for rows in days)
+    chunks = export_chunks(days, args.format)
+    if args.out:
+        with open(args.out, "wb") as f:
+            f.writelines(chunks)
     else:
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
+    _report_skipped(store.skipped)
+    return EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -349,27 +353,31 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="soilnet", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+def _data_root(sp) -> None:
+    sp.add_argument("--data-root", default=_env_default("data-root", "data"))
 
-    def common(sp):
-        sp.add_argument("--data-root", default=_env_default("data-root", "data"))
 
-    sp = sub.add_parser("serve", help="run the ingestion gateway")
-    common(sp)
+def _range(sp) -> None:
+    sp.add_argument("--profile")
+    sp.add_argument("--start")
+    sp.add_argument("--end")
+
+
+def _serve_args(sp) -> None:
+    _data_root(sp)
     sp.add_argument("--config", default=_env_default("config"))
     sp.add_argument("--listen", default=_env_default("listen", f"127.0.0.1:{DEFAULT_PORT}"))
     sp.add_argument("--site", default=_env_default("site", "site"))
-    sp.set_defaults(func=cmd_serve)
 
-    sp = sub.add_parser("simulate", help="run simulated sensor nodes")
-    common(sp)
+
+def _simulate_args(sp) -> None:
+    _data_root(sp)
     sp.add_argument("--config", default=_env_default("config"))
     sp.add_argument("--nodes", type=int, default=1)
     sp.add_argument("--duration", default="48h")
     sp.add_argument("--cadence", type=int, default=900)
-    sp.add_argument("--seed", type=int, default=int(_env_default("seed", "0")))
+    # A string default goes through type=int, so a bad SOILNET_SEED is a usage error.
+    sp.add_argument("--seed", type=int, default=_env_default("seed", "0"))
     sp.add_argument("--clock-scale", type=float, default=math.inf)
     sp.add_argument("--connect", default=_env_default("connect"))
     sp.add_argument("--offline", action="store_true")
@@ -378,44 +386,66 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default=_env_default("model"))
     sp.add_argument("--backoff-base", type=float, default=1.0)
     sp.add_argument("--max-attempts", type=int, default=8)
-    sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("calibrate", help="fit a calibration model from (voltage,vwc) pairs")
+
+def _calibrate_args(sp) -> None:
     sp.add_argument("--pairs", required=True)
     sp.add_argument("--transform", choices=["reciprocal", "identity"], default="reciprocal")
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_calibrate)
 
-    def range_args(sp):
-        sp.add_argument("--profile")
-        sp.add_argument("--start")
-        sp.add_argument("--end")
 
-    sp = sub.add_parser("export", help="export stored rows; --model fills vwc_percent")
-    common(sp)
-    range_args(sp)
+def _export_args(sp) -> None:
+    _data_root(sp)
+    _range(sp)
     # No SOILNET_MODEL default: the environment never changes export bytes.
     sp.add_argument("--model")
     sp.add_argument("--format", choices=["csv", "json", "xml"], default="csv")
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_export)
 
-    sp = sub.add_parser("report", help="validation report (RMSE/correlation, extrema, variability)")
-    common(sp)
-    range_args(sp)
+
+def _report_args(sp) -> None:
+    _data_root(sp)
+    _range(sp)
     # No SOILNET_MODEL default either: the environment never changes a report.
     sp.add_argument("--model")
     sp.add_argument("--cadence", type=int, default=900)
     sp.add_argument("--reference", action="append", metavar="LABEL=CSV")
     sp.add_argument("--out-json")
     sp.add_argument("--plot-csv-dir")
-    sp.set_defaults(func=cmd_report)
 
+
+# Per command: its help, the function that runs it and what adds its arguments.
+_COMMANDS = {
+    "serve": ("run the ingestion gateway", cmd_serve, _serve_args),
+    "simulate": ("run simulated sensor nodes", cmd_simulate, _simulate_args),
+    "calibrate": ("fit a calibration model from (voltage,vwc) pairs", cmd_calibrate,
+                  _calibrate_args),
+    "export": ("export stored rows; --model fills vwc_percent", cmd_export, _export_args),
+    "report": ("validation report (RMSE/correlation, extrema, variability)", cmd_report,
+               _report_args),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command. Only the command that ``argv`` names
+    (its first word that is no option) gets its arguments, every command
+    when ``argv`` is None: argparse's set-up costs per argument, and the
+    other commands' arguments show in no help and parse nothing."""
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
+    p = _Parser(prog="soilnet", description=__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_args) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if argv is None or name == named:
+            add_args(sp)
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except UsageError as e:

@@ -1,10 +1,14 @@
 """Append-only time-series storage partitioned by profile and UTC day,
-with range queries and bit-exact CSV/JSON/XML export. One encoder,
-``_csv_line``, writes every CSV row, to a partition or an export alike,
-and one reader, ``_rows``, reads every partition. Each exporter is one
-per-row template over ``_row_values``, joined once: JSON gives the bytes
-of ``json.dumps(records, indent=2)``, XML those of ElementTree's indented
-``<readings>`` tree.
+with range queries and bit-exact CSV/JSON/XML export. There is one
+encoder per format and one reader, ``_rows``, of every partition. The CSV
+encoder, ``_csv_rows``, writes every CSV row, to a partition or an export
+alike; JSON gives the bytes of ``json.dumps(records, indent=2)``, XML
+those of ElementTree's indented ``<readings>`` tree. Each encoder walks
+its rows in order and writes the fields that a run of rows shares (node
+time, receive time and profile: the 8 streams of a node tick) once per
+run. ``Store.query_days`` reads the store one node day at a time, and
+``export_chunks`` encodes what it yields chunk by chunk, so an export of
+the whole study period holds one day's rows at a time.
 
 On-disk layout: {root}/{profile_id}/{YYYY-MM-DD}.csv, one header line per
 file, rows appended in receive order and never rewritten. A row's
@@ -12,16 +16,20 @@ partition is the UTC day of its node timestamp, the clock queries filter
 on, so a query reads only the partitions its window overlaps; a receive
 day would bound nothing, since a buffered node can deliver rows days
 late. Stores written when partitions were keyed by receive day must be
-rebuilt: their windowed queries can miss rows whose two days differ.
+rebuilt (README has a recipe): a read skips a row whose two days differ.
 
-A row is an ASCII line of ``_csv_line``'s eight fields, with a known
-channel, the profile field ``_csv_field`` writes for its id, and dates
-and numbers that ``parse_iso_utc``, ``int`` and ``float`` accept, in
-canonical form or not. Any other line is skipped, and counted per
-partition in ``Store.skipped`` and in the partition's checkpoint entry.
-Read back, a row is a reading, ``core.RawReading`` with both clocks set,
-its fields in the reading's order. Both clocks lie in ``core.TS_RANGE``,
-the years whose dates the rows and partition names round-trip.
+A partition's name is the YYYY-MM-DD of a day in ``core.TS_RANGE``, the
+years whose dates the rows and partition names round-trip. A row is an
+ASCII line of ``_csv_rows``'s eight fields, with a known channel, the
+profile field ``_csv_field`` writes for its id, dates and numbers that
+``parse_iso_utc``, ``int`` and ``float`` accept, in canonical form or
+not, a node time on its partition's day and a receive time in
+``core.TS_RANGE``. Any other line is skipped, and counted per partition
+in ``Store.skipped`` and in the partition's checkpoint entry; so is every
+line of a ``.csv`` file whose name is no such date. Only a file written
+by hand holds such lines. Read back, a row is a reading,
+``core.RawReading`` with both clocks set, its fields in the reading's
+order.
 
 A final line without its newline is a torn write (a crash or a failed
 write in mid-append): readers ignore it, and every append cuts it off
@@ -64,7 +72,7 @@ import os
 import re
 import threading
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -143,29 +151,21 @@ def parse_iso_utc(s: str) -> int:
 
 @functools.lru_cache(maxsize=4096)
 def _file_day(name: str) -> int | None:
-    """Days since the epoch of a partition file name, None for a name that
-    is no date."""
+    """Days since the epoch of a partition file name, the YYYY-MM-DD.csv of
+    a day in ``core.TS_RANGE`` that ``Store`` writes; None for any other name."""
     try:
-        return parse_iso_utc(name[:-len(".csv")] + "T00:00:00Z") // DAY_S
+        day = _date_start(name[:-len(".csv")]) // DAY_S
     except ValueError:
         return None
+    lo, hi = TS_RANGE
+    if lo <= day * DAY_S and day * DAY_S + DAY_S - 1 <= hi and _utc_date(day) + ".csv" == name:
+        return day
+    return None
 
 
 # A second name for the reading, which a stored row is, both clocks set;
 # perfbench/tests/test_perfbench.py imports it.
 StoredRow = RawReading
-
-
-def _row_values(row: RawReading) -> tuple:
-    """The fields of ``row`` in EXPORT_FIELDS order, as every exporter
-    fills them in: floats in shortest round-trip form, an absent
-    vwc_percent as an empty field."""
-    ts = iso_utc(row.timestamp)
-    recv = ts if row.recv_timestamp == row.timestamp else iso_utc(row.recv_timestamp)
-    vwc = row.vwc_percent
-    # _value_: the channel's string, without the call of Enum.value's property.
-    return (ts, recv, row.profile_id, row.depth_cm, row.channel._value_, row.seq,
-            repr(row.value), "" if vwc is None else repr(vwc))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -185,11 +185,31 @@ def _check_clocks(row: RawReading) -> None:
                          f" recv_timestamp {row.recv_timestamp}")
 
 
-def _csv_line(row: RawReading) -> str:
-    """``row`` as a CSV line; its profile id is the one field to quote, the
-    others being dates, numbers and channel names."""
-    ts, recv, pid, depth, chan, seq, value, vwc = _row_values(row)
-    return f"{ts},{recv},{_csv_field(pid)},{depth},{chan},{seq},{value},{vwc}\n"
+# The encoders, this one and ``_json_rows`` and ``_xml_rows`` by the
+# exporters below. Each writes a row's fields in EXPORT_FIELDS order, floats
+# in shortest round-trip form (repr). Rows come in runs that share node
+# time, receive time and profile (the 8 streams of a node tick), so each
+# encoder builds the text of those three fields once per run, and per row
+# only that of depth, channel, seq, value and vwc_percent. ``_value_`` is
+# the channel's string, without the call of Enum.value's property.
+
+
+def _csv_rows(rows: Iterable[RawReading]) -> str:
+    """``rows`` as CSV lines, each ending in a newline: the lines of a
+    partition and of a CSV export. The profile id is the one field to
+    quote, the others being dates, numbers and channel names; an absent
+    vwc_percent is an empty field."""
+    out = []
+    ts = recv = pid = head = None
+    for row in rows:
+        if row.timestamp != ts or row.recv_timestamp != recv or row.profile_id != pid:
+            ts, recv, pid = row.timestamp, row.recv_timestamp, row.profile_id
+            t = iso_utc(ts)
+            head = f"{t},{t if recv == ts else iso_utc(recv)},{_csv_field(pid)},"
+        vwc = row.vwc_percent
+        out.append(f"{head}{row.depth_cm},{row.channel._value_},{row.seq},{row.value!r},"
+                   f"{'' if vwc is None else repr(vwc)}\n")
+    return "".join(out)
 
 
 class Store:
@@ -223,7 +243,7 @@ class Store:
         _check_clocks(row)
         key = (row.profile_id, row.timestamp // DAY_S)
         path = self._paths.get(key) or self._path(key)
-        self._append_partition(path, _csv_line(row).encode("ascii"), (row,))
+        self._append_partition(path, _csv_rows((row,)).encode("ascii"), (row,))
 
     def append_rows(self, rows: Iterable[RawReading]) -> None:
         """Append ``rows``, in order within each partition, with one write()
@@ -242,7 +262,7 @@ class Store:
                 batch = batches[key] = []
             batch.append(row)
         encoded = [(self._paths.get(key) or self._path(key),
-                    "".join(map(_csv_line, batch)).encode("ascii"), batch)
+                    _csv_rows(batch).encode("ascii"), batch)
                    for key, batch in batches.items()]
         for path, data, batch in encoded:
             self._append_partition(path, data, batch)
@@ -298,25 +318,24 @@ class Store:
         return sorted(e.name for e in os.scandir(self.root) if e.is_dir())
 
     def _partition_files(self, profile_id: str, first_day: int | None = None,
-                         last_day: int | None = None) -> list[str]:
-        """The profile's partition files in day order, without those whose
-        day lies outside [first_day, last_day] (days since the epoch)."""
+                         last_day: int | None = None) -> list[tuple[int | None, str]]:
+        """The profile's .csv files as (day since the epoch, path), those
+        whose name is no partition day (``_file_day``) with day None; a
+        bound leaves out the partitions of days outside [first_day,
+        last_day]."""
         pdir = os.path.join(self.root, profile_id)
         if not os.path.isdir(pdir):
             return []
-        bounded = first_day is not None or last_day is not None
-        paths = []
-        for f in os.listdir(pdir):
+        files = []
+        for f in sorted(os.listdir(pdir)):
             if not f.endswith(".csv"):
                 continue
-            # Only when bounded: an unbounded read needs no day, and a name that
-            # is no date would pay strptime's ~2 ms set-up.
-            day = _file_day(f) if bounded else None
+            day = _file_day(f)
             if day is not None and (first_day is not None and day < first_day
                                     or last_day is not None and day > last_day):
                 continue
-            paths.append(os.path.join(pdir, f))
-        return sorted(paths)
+            files.append((day, os.path.join(pdir, f)))
+        return files
 
     def query(
         self,
@@ -324,12 +343,27 @@ class Store:
         start_ts: int | None = None,
         end_ts: int | None = None,
     ) -> list[RawReading]:
-        """A list of the rows in [start_ts, end_ts) on the node clock,
-        sorted by node timestamp then seq; only the partitions of the
-        window's days are read. Each row is built once, as ``_rows`` reads
-        its partition, and those outside the window are then dropped.
-        Raises UnknownProfile only when the store holds other profiles but
-        not the requested one; an empty store yields []."""
+        """The rows of ``query_days``, in its order, as one list."""
+        rows: list[RawReading] = []
+        for day_rows in self.query_days(profile_id, start_ts, end_ts):
+            rows += day_rows
+        return rows
+
+    def query_days(
+        self,
+        profile_id: str | None = None,
+        start_ts: int | None = None,
+        end_ts: int | None = None,
+    ) -> Iterator[list[RawReading]]:
+        """The rows in [start_ts, end_ts) on the node clock, one list per
+        node day, in day order, each sorted by node timestamp then profile,
+        depth, channel and seq: taken in turn, query order. Reads one day's
+        partitions at a time, only those of the window's days, as the
+        lists are taken; each row is built once, as ``_rows`` reads its
+        partition, and those outside the window are then dropped.
+        Checks its arguments at once: ValueError for a reversed window,
+        UnknownProfile only when the store holds other profiles but not the
+        requested one; an empty store yields nothing."""
         if start_ts is not None and end_ts is not None and start_ts > end_ts:
             raise ValueError("start_ts > end_ts")
         known = self.profiles()
@@ -338,23 +372,43 @@ class Store:
         elif profile_id in known:
             targets = [profile_id]
         elif not known:
-            return []
+            targets = []
         else:
             raise UnknownProfile(profile_id)
 
         first_day = None if start_ts is None else start_ts // DAY_S
         last_day = None if end_ts is None else (end_ts - 1) // DAY_S
-        rows: list[RawReading] = []
+        by_day: dict[int | None, list[str]] = {}
         for pid in targets:
-            for path in self._partition_files(pid, first_day, last_day):
-                with open(path, "rb") as f:
-                    found, self.skipped[path] = _rows(f.read(), 0)
-                if start_ts is not None or end_ts is not None:
-                    found = [r for r in found
-                             if (start_ts is None or r.timestamp >= start_ts)
-                             and (end_ts is None or r.timestamp < end_ts)]
-                rows += found
-        rows.sort(key=_QUERY_ORDER)
+            for day, path in self._partition_files(pid, first_day, last_day):
+                by_day.setdefault(day, []).append(path)
+        return self._days(by_day, start_ts, end_ts)
+
+    def _days(self, by_day: dict[int | None, list[str]], start_ts: int | None,
+              end_ts: int | None) -> Iterator[list[RawReading]]:
+        """``query_days``'s lists, from its partition paths per day. A file
+        whose name is no day holds no row; it is read first, for its count
+        of skipped lines."""
+        for path in by_day.pop(None, ()):
+            self._read(path, None)
+        for day in sorted(by_day):
+            rows: list[RawReading] = []
+            for path in by_day[day]:
+                rows += self._read(path, day)
+            if (start_ts is not None and start_ts > day * DAY_S
+                    or end_ts is not None and end_ts < day * DAY_S + DAY_S):
+                rows = [r for r in rows
+                        if (start_ts is None or r.timestamp >= start_ts)
+                        and (end_ts is None or r.timestamp < end_ts)]
+            if rows:
+                rows.sort(key=_QUERY_ORDER)
+                yield rows
+
+    def _read(self, path: str, day: int | None) -> list[RawReading]:
+        """The rows of the partition ``path`` of day ``day``; its count of
+        skipped lines goes to ``skipped``."""
+        with open(path, "rb") as f:
+            rows, self.skipped[path] = _rows(f.read(), 0, day)
         return rows
 
     def last_seqs(self) -> dict[tuple[str, int, str], int]:
@@ -392,7 +446,7 @@ class Store:
         covered = {}
         read = False
         for pid in self.profiles():
-            for path in self._partition_files(pid):
+            for day, path in self._partition_files(pid):
                 entry = self._covered.get(path)
                 if entry is None:
                     if saved is None:
@@ -401,7 +455,7 @@ class Store:
                 st = os.stat(path)
                 if (entry is None or entry.size != st.st_size
                         or entry.stat != (st.st_mtime_ns, st.st_ino)):
-                    entry = _read_covered(path, entry)
+                    entry = _read_covered(path, day, entry)
                     read = True
                 covered[path] = entry
                 self.skipped[path] = entry.skipped
@@ -473,8 +527,9 @@ def _load_checkpoint(root: str) -> dict[tuple[str, str], _Covered]:
         return {}
 
 
-def _read_covered(path: str, entry: _Covered | None) -> _Covered:
-    """The checkpoint entry of the partition file ``path``, from the bytes
+def _read_covered(path: str, day: int | None, entry: _Covered | None) -> _Covered:
+    """The checkpoint entry of the partition file ``path`` of day ``day``
+    (None: a name that is no day), from the bytes
     past ``entry`` if its first bytes still have the length and crc32 that
     ``entry`` records, else from all of them. (Not the inode: a partition
     deleted and written again often gets the old one back.)"""
@@ -485,7 +540,7 @@ def _read_covered(path: str, entry: _Covered | None) -> _Covered:
     if (entry is not None and entry.size <= len(data)
             and zlib.crc32(memoryview(data)[:entry.size]) == entry.crc):
         start, crc, seqs, skipped = entry.size, entry.crc, dict(entry.seqs), entry.skipped
-    rows, more = _rows(data, start)
+    rows, more = _rows(data, start, day)
     for row in rows:
         key = (row.profile_id, row.depth_cm, row.channel._value_)
         if row.seq > seqs.get(key, 0):
@@ -495,15 +550,17 @@ def _read_covered(path: str, entry: _Covered | None) -> _Covered:
                     (st.st_mtime_ns, st.st_ino), skipped + more)
 
 
-def _rows(data: bytes, start: int) -> tuple[list[RawReading], int]:
-    """The rows (see the module docstring) of the partition bytes ``data``
-    from byte ``start`` (0: the header) to the last newline, each line
-    made straight into a ``core.RawReading``, and how many lines are no
-    rows, a first line other than the header too. ``data`` is checked for
-    ASCII once, and line by line only when some byte is not. Runs of
-    lines share a profile field (a partition is one profile's) and a
-    timestamp (the streams of one tick), so each of those two fields,
-    when equal to the last one that parsed, reuses its parsed value."""
+def _rows(data: bytes, start: int, day: int | None) -> tuple[list[RawReading], int]:
+    """The rows (see the module docstring) of the bytes ``data`` of the
+    partition of day ``day`` (None: a file whose name is no day, which
+    holds no row), from byte ``start`` (0: the header) to the last newline,
+    each line made straight into a ``core.RawReading``, and how many lines
+    are no rows, a first line other than the header too. ``data`` is
+    checked for ASCII once, and line by line only when some byte is not.
+    Runs of lines share a profile field (a partition is one profile's) and
+    a timestamp (the streams of one tick), so each of those two fields,
+    when equal to the last one that parsed and passed its checks, reuses
+    its parsed value: a node time is checked against the day once per run."""
     end = data.rfind(b"\n") + 1
     skipped = 0
     if start == 0 and end:
@@ -515,6 +572,9 @@ def _rows(data: bytes, start: int) -> tuple[list[RawReading], int]:
     lines = data[start:end - 1].decode("latin-1").split("\n")
     rows = []
     append = rows.append
+    # The node times of the day; every one of them lies in TS_RANGE (_file_day).
+    first, after = (0, 0) if day is None else (day * DAY_S, day * DAY_S + DAY_S)
+    lo, hi = TS_RANGE
     # Memos, each set only from a field that parsed and passed its checks.
     last_pid = last_ts = profile = t = None
     for line in lines:
@@ -529,9 +589,17 @@ def _rows(data: bytes, start: int) -> tuple[list[RawReading], int]:
                     continue
                 last_pid, profile = pid, unquoted
             if ts != last_ts:
-                t, last_ts = parse_iso_utc(ts), ts
-            append(RawReading(profile, int(depth), _CHANNELS[chan], float(value), t, int(seq),
-                              t if recv == ts else parse_iso_utc(recv),
+                node = parse_iso_utc(ts)
+                if not first <= node < after:
+                    continue
+                t, last_ts = node, ts
+            if recv == ts:
+                r = t
+            else:
+                r = parse_iso_utc(recv)
+                if not lo <= r <= hi:
+                    continue
+            append(RawReading(profile, int(depth), _CHANNELS[chan], float(value), t, int(seq), r,
                               float(vwc) if vwc else None))
         except (ValueError, KeyError):
             pass
@@ -550,41 +618,31 @@ def _write_all(fd: int, data: bytes) -> None:
         data = data[os.write(fd, data):]
 
 
-def export_csv(rows: list[RawReading]) -> bytes:
-    return _HEADER + "".join(map(_csv_line, rows)).encode("ascii")
+def _json_number(x: float) -> str:
+    """``x`` as json.dumps writes it: a finite float as its repr, NaN and
+    the infinities as json.dumps spells them."""
+    text = repr(x)
+    return text if text[-1].isdigit() else json.dumps(x)
 
 
-# One record of json.dumps(records, indent=2), with its id and numbers as JSON text.
-_JSON_ROW = ('  {\n    "timestamp": "%s",\n    "recv_timestamp": "%s",\n    "profile": %s,\n'
-             '    "depth_cm": %s,\n    "channel": "%s",\n    "seq": %s,\n    "value": %s,\n'
-             '    "vwc_percent": %s\n  }')
-
-
-def _json_number(text: str, x: float | None) -> str:
-    """The repr ``text`` of ``x`` as json.dumps writes ``x``: a repr ending in
-    a digit is JSON already, None is null, json.dumps writes NaN and infinities."""
-    if text[-1:].isdigit():
-        return text
-    return "null" if x is None else json.dumps(x)
-
-
-def _json_record(row: RawReading) -> str:
-    ts, recv, pid, depth, chan, seq, value, vwc = _row_values(row)
-    # The id as json.dumps writes a string, by the function it calls.
-    return _JSON_ROW % (ts, recv, encode_basestring_ascii(pid), depth, chan, seq,
-                        _json_number(value, row.value), _json_number(vwc, row.vwc_percent))
-
-
-def export_json(rows: list[RawReading]) -> bytes:
-    """The bytes of json.dumps(records, indent=2) plus a newline."""
-    if not rows:
-        return b"[]\n"
-    return ("[\n" + ",\n".join(map(_json_record, rows)) + "\n]\n").encode("ascii")
-
-
-# One <reading> line of ElementTree's indented tree; the last %s is vwc_percent or nothing.
-_XML_ROW = ('  <reading timestamp="%s" recv_timestamp="%s" profile="%s" depth_cm="%s"'
-            ' channel="%s" seq="%s" value="%s"%s />')
+def _json_rows(rows: Iterable[RawReading]) -> str:
+    """``rows`` as the items of json.dumps(records, indent=2) for their
+    records, joined by ",\n"; the id as json.dumps writes a string, by the
+    function it calls."""
+    out = []
+    ts = recv = pid = head = None
+    for row in rows:
+        if row.timestamp != ts or row.recv_timestamp != recv or row.profile_id != pid:
+            ts, recv, pid = row.timestamp, row.recv_timestamp, row.profile_id
+            t = iso_utc(ts)
+            head = (f'  {{\n    "timestamp": "{t}",\n'
+                    f'    "recv_timestamp": "{t if recv == ts else iso_utc(recv)}",\n'
+                    f'    "profile": {encode_basestring_ascii(pid)},\n    "depth_cm": ')
+        vwc = row.vwc_percent
+        out.append(f'{head}{row.depth_cm},\n    "channel": "{row.channel._value_}",\n'
+                   f'    "seq": {row.seq},\n    "value": {_json_number(row.value)},\n'
+                   f'    "vwc_percent": {"null" if vwc is None else _json_number(vwc)}\n  }}')
+    return ",\n".join(out)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -596,30 +654,74 @@ def _xml_attr(text: str) -> str:
     return text
 
 
-def _xml_reading(row: RawReading) -> str:
-    ts, recv, pid, depth, chan, seq, value, vwc = _row_values(row)
-    return _XML_ROW % (ts, recv, _xml_attr(pid), depth, chan, seq, value,
-                       vwc and f' vwc_percent="{vwc}"')
+def _xml_rows(rows: Iterable[RawReading]) -> str:
+    """``rows`` as the <reading> lines of ElementTree's indented
+    <readings> tree, joined by "\n"; no vwc_percent attribute where it
+    is absent."""
+    out = []
+    ts = recv = pid = head = None
+    for row in rows:
+        if row.timestamp != ts or row.recv_timestamp != recv or row.profile_id != pid:
+            ts, recv, pid = row.timestamp, row.recv_timestamp, row.profile_id
+            t = iso_utc(ts)
+            head = (f'  <reading timestamp="{t}" recv_timestamp="{t if recv == ts else iso_utc(recv)}"'
+                    f' profile="{_xml_attr(pid)}" depth_cm="')
+        vwc = row.vwc_percent
+        vwc_attr = "" if vwc is None else f' vwc_percent="{vwc!r}"'
+        out.append(f'{head}{row.depth_cm}" channel="{row.channel._value_}" seq="{row.seq}"'
+                   f' value="{row.value!r}"{vwc_attr} />')
+    return "\n".join(out)
+
+
+# Per format: its encoder, then the text before the first chunk of rows,
+# between two chunks and after the last, and the whole export of no rows.
+_FORMATS = {
+    "csv": (_csv_rows, _HEADER.decode("ascii"), "", "", _HEADER.decode("ascii")),
+    "json": (_json_rows, "[\n", ",\n", "\n]\n", "[]\n"),
+    "xml": (_xml_rows, "<readings>\n", "\n", "\n</readings>\n", "<readings />\n"),
+}
+
+
+def export_chunks(chunks: Iterable[list[RawReading]], fmt: str) -> Iterator[bytes]:
+    """The export of the rows of ``chunks``, lists of query-ordered rows
+    taken in turn, as one bytes object per chunk and one at the end: the
+    bytes of ``export`` of all the rows, whatever the chunk edges. The XML
+    of an id that is not ASCII raises UnicodeEncodeError. An unknown
+    format raises ValueError at once."""
+    try:
+        encoding = _FORMATS[fmt.lower()]
+    except KeyError:
+        raise ValueError(f"unknown export format {fmt!r}") from None
+    return _encode_chunks(chunks, *encoding)
+
+
+def _encode_chunks(chunks, encode, before, between, after, empty) -> Iterator[bytes]:
+    wrote = False
+    for rows in chunks:
+        if rows:
+            yield ((between if wrote else before) + encode(rows)).encode("ascii")
+            wrote = True
+    yield (after if wrote else empty).encode("ascii")
+
+
+def export(rows: list[RawReading], fmt: str) -> bytes:
+    """Serialize query-ordered rows; csv/json/xml carry identical data."""
+    return b"".join(export_chunks((rows,), fmt))
+
+
+def export_csv(rows: list[RawReading]) -> bytes:
+    return export(rows, "csv")
+
+
+def export_json(rows: list[RawReading]) -> bytes:
+    """The bytes of json.dumps(records, indent=2) plus a newline."""
+    return export(rows, "json")
 
 
 def export_xml(rows: list[RawReading]) -> bytes:
     """The bytes of ElementTree's indented <readings> tree plus a newline;
     an id that is not ASCII raises UnicodeEncodeError."""
-    if not rows:
-        return b"<readings />\n"
-    return ("<readings>\n" + "\n".join(map(_xml_reading, rows)) + "\n</readings>\n").encode("ascii")
-
-
-_EXPORTERS = {"csv": export_csv, "json": export_json, "xml": export_xml}
-
-
-def export(rows: list[RawReading], fmt: str) -> bytes:
-    """Serialize query-ordered rows; csv/json/xml carry identical data."""
-    try:
-        exporter = _EXPORTERS[fmt.lower()]
-    except KeyError:
-        raise ValueError(f"unknown export format {fmt!r}") from None
-    return exporter(rows)
+    return export(rows, "xml")
 
 
 def rows_with_vwc(rows: list[RawReading], model: CalibrationModel) -> list[RawReading]:

@@ -107,6 +107,47 @@ def run_cli(args):
     return main(args)
 
 
+def test_help_bytes_pinned(monkeypatch, capsys):
+    # Each command's help, and the list of commands, as they were when the
+    # parser added every command's arguments on each start.
+    monkeypatch.setenv("COLUMNS", "80")
+    got = {}
+    for command in ("", "serve", "simulate", "calibrate", "export", "report"):
+        with pytest.raises(SystemExit) as exited:
+            main([*command.split(), "--help"])
+        assert exited.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        got[command or "soilnet"] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == {
+        "soilnet": "47bebc5e28fe953798f89ec45b32f57a768cc9d3e118aa3c3c00706fbcdcb4f0",
+        "serve": "a6a24ab6e988f01a44422b847e2e3adc39c7d967301833b4048d95cc76d33ec8",
+        "simulate": "8f89b87838d8febb2913754e75e4f0d3afd92419a1c0525309cce39aaa1c28c0",
+        "calibrate": "e258bc2a2d0418e632b6e625d3d03e4a27ef69b3428967be60e6640d7efa2017",
+        "export": "e4e2ec369f630b59eecd913c187b7d8249770bc0c99639550efd083443e76c18",
+        "report": "e146772a9f7c9707bb8fe6b0046f08ac499ad36f6e775b065761c1cbe10ad790",
+    }
+    assert main(["bogus"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: argument command: invalid choice: 'bogus' "
+        "(choose from 'serve', 'simulate', 'calibrate', 'export', 'report')\n")
+
+
+def test_bad_seed_in_environment_fails_simulate_alone(offline_store, tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setenv("SOILNET_SEED", "abc")
+    build_parser()
+    out = tmp_path / "out.csv"
+    assert run_cli(["export", "--data-root", offline_store, "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+    new = tmp_path / "new"
+    assert run_cli(["simulate", "--offline", "--duration", "1h", "--data-root", str(new)]) == 1
+    assert capsys.readouterr().err == "usage error: argument --seed: invalid int value: 'abc'\n"
+    assert not new.exists()
+    assert run_cli(["simulate", "--offline", "--duration", "1h", "--data-root", str(new),
+                    "--seed", "3"]) == 0
+
+
 @pytest.fixture
 def offline_store(tmp_path):
     root = str(tmp_path / "data")
@@ -330,6 +371,38 @@ class TestCalibrate:
 
 
 class TestExport:
+    @pytest.mark.parametrize("window, error", [
+        (["--profile", "p9"], "error: UnknownProfile: 'p9'\n"),
+        (["--start", "1700003600", "--end", "1700000000"], "error: ValueError: start_ts > end_ts\n"),
+    ], ids=["unknown-profile", "reversed-range"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_bad_window_exits_2_before_any_byte(self, offline_store, tmp_path, capsys, window,
+                                                error, to_file):
+        out = tmp_path / "out.json"
+        assert run_cli(["export", "--data-root", offline_store, "--format", "json", *window,
+                        *(["--out", str(out)] if to_file else [])]) == 2
+        assert capsys.readouterr() == ("", error)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "xml"])
+    def test_streamed_export_names_skipped_lines(self, offline_store, tmp_path, capsys, fmt):
+        # A foreign line in the first and in the last partition of the
+        # stream: the bytes are the clean store's, and both are named.
+        out = tmp_path / f"out.{fmt}"
+        argv = ["export", "--data-root", offline_store, "--format", fmt, "--out", str(out)]
+        assert run_cli(argv) == 0
+        clean = out.read_bytes()
+        paths = [os.path.join(offline_store, "p1", "2023-11-14.csv"),
+                 os.path.join(offline_store, "p2", "2023-11-15.csv")]
+        for path in paths:
+            with open(path, "ab") as f:
+                f.write(b"garbage\n")
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        assert out.read_bytes() == clean
+        assert capsys.readouterr() == ("", "".join(
+            f"skipped 1 line(s) that are no rows: {path}\n" for path in paths))
+
     def test_empty_range_header_only(self, offline_store, capsys):
         rc = run_cli(["export", "--data-root", offline_store, "--format", "csv",
                       "--start", "0", "--end", "1"])
@@ -543,14 +616,15 @@ def test_bad_input_file_exits_2_before_the_query(offline_store, tmp_path, capsys
                                                 argv):
     (tmp_path / "bad.json").write_text("not json\n")
     monkeypatch.chdir(tmp_path)
+    # Store.query reads through query_days, as export does.
     calls = []
-    query = Store.query
+    query_days = Store.query_days
 
-    def recording_query(self, *args, **kwargs):
+    def recording_query_days(self, *args, **kwargs):
         calls.append((args, kwargs))
-        return query(self, *args, **kwargs)
+        return query_days(self, *args, **kwargs)
 
-    monkeypatch.setattr(Store, "query", recording_query)
+    monkeypatch.setattr(Store, "query_days", recording_query_days)
     assert run_cli([*argv, "--data-root", offline_store]) == 2
     assert calls == []
     assert capsys.readouterr().err.startswith("error: ")

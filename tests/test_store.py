@@ -24,6 +24,7 @@ from soilnet.store import (
     Store,
     UnknownProfile,
     export,
+    export_chunks,
     export_csv,
     export_json,
     export_xml,
@@ -258,9 +259,9 @@ class TestCheckpoint:
         calls = []
         real = store_module._rows
 
-        def spy(data, start):
+        def spy(data, start, day):
             calls.append((data[:9], start))
-            return real(data, start)
+            return real(data, start, day)
 
         with mock.patch.object(store_module, "_rows", spy):
             seqs = Store(root).last_seqs()
@@ -771,12 +772,14 @@ def test_parse_memo_takes_no_value_from_a_line_that_is_no_row(store, repeats):
     path = os.path.join(store.root, "p1", "2023-11-14.csv")
     os.makedirs(os.path.dirname(path))
     ts, later, recv = "2023-11-14T22:13:20Z", "2023-11-14T22:28:20Z", "2023-11-15T01:00:00Z"
+    off = "2023-11-15T22:13:20Z"
     with open(path, "wb") as f:
         f.write(HEADER + "".join([
             f"{ts},{ts},p1,5,moisture,1,1.3,\n",
             f"{ts},{ts},p1,5,temperature,1,20.5,\n",
             f'{ts},{ts},",15,moisture,1,1.4,\n' * repeats,  # a lone quote: no profile id
             f"2023-11-14T25:13:20Z,{ts},p1,15,moisture,1,1.4,\n" * repeats,  # no such hour
+            f"{off},{off},p1,15,moisture,1,1.4,\n" * repeats,  # not the partition's day
             f"{later},{later},p2,5,moisture,1,1.5,\n",
             f'{later},{later},"a,b",5,moisture,1,1.6,\n',
             f"{later},{recv},p1,5,moisture,2,1.35,\n",
@@ -791,7 +794,126 @@ def test_parse_memo_takes_no_value_from_a_line_that_is_no_row(store, repeats):
         RawReading("p1", 15, Channel.MOISTURE_VOLTAGE, 1.45, t2, 1, t2),
         RawReading("p2", 5, Channel.MOISTURE_VOLTAGE, 1.5, t2, 1, t2),
     ]
-    assert store.skipped == {path: 2 * repeats}
+    assert store.skipped == {path: 3 * repeats}
+
+
+BEFORE_YEAR_1000 = "0999-06-01T00:00:00Z"
+
+
+@pytest.mark.parametrize("name, line", [
+    # Both clocks before year 1000, in the partition of its day and in another.
+    ("0999-06-01.csv", f"{BEFORE_YEAR_1000},{BEFORE_YEAR_1000},p1,5,moisture,1,1.3,"),
+    ("2023-11-14.csv", f"{BEFORE_YEAR_1000},{BEFORE_YEAR_1000},p1,5,moisture,1,1.3,"),
+    # A receive time before year 1000 on a row of its partition's day.
+    ("2023-11-14.csv", f"2023-11-14T22:13:20Z,{BEFORE_YEAR_1000},p1,5,moisture,1,1.3,"),
+    # A node time of another day than its partition's, in range or not.
+    ("2023-11-14.csv", "2023-11-15T00:00:00Z,2023-11-15T00:00:00Z,p1,5,moisture,1,1.3,"),
+    ("2023-11-14.csv", "2023-11-13T23:59:59Z,2023-11-14T00:00:00Z,p1,5,moisture,1,1.3,"),
+    # A file whose name is no partition day holds no row.
+    ("notes.csv", "2023-11-14T22:13:20Z,2023-11-14T22:13:20Z,p1,5,moisture,1,1.3,"),
+    ("2023-1-14.csv", "2023-01-14T22:13:20Z,2023-01-14T22:13:20Z,p1,5,moisture,1,1.3,"),
+])
+def test_line_off_its_partition_day_or_ts_range_is_no_row(store, name, line):
+    # Such a line is skipped and counted by the query and by the checkpoint
+    # scan alike, and no seq of it reaches last_seqs.
+    path = os.path.join(store.root, "p1", name)
+    os.makedirs(os.path.dirname(path))
+    with open(path, "wb") as f:
+        f.write(HEADER + line.encode("ascii") + b"\n")
+    assert store.query() == []
+    assert store.skipped == {path: 1}
+    for fmt in ("csv", "json", "xml"):
+        assert export(store.query(), fmt) == export([], fmt)
+    scanner = Store(store.root)
+    assert scanner.last_seqs() == {}
+    assert scanner.skipped == {path: 1}
+    assert Store(store.root).last_seqs() == {}  # from the saved checkpoint
+
+
+def test_query_days_checks_its_arguments_before_it_reads(store):
+    store.append(make_row())
+    with mock.patch.object(store_module, "_rows", side_effect=AssertionError("read")):
+        with pytest.raises(UnknownProfile):
+            store.query_days("p9")
+        with pytest.raises(ValueError):
+            store.query_days(start_ts=T0 + 1, end_ts=T0)
+        days = store.query_days()  # reads nothing until its first list is taken
+    assert list(days) == [[make_row()]]
+
+
+# Ids that a partition may hold and that CSV must quote, or JSON or XML escape.
+stream_profiles = csv_profiles | st.sampled_from(["a&b", "<p>", "x'y", "b\\c"])
+stream_vwc = st.none() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 41.5])
+# Few node and receive times, so that rows of several profiles share a tick.
+stream_ts = st.builds(lambda day, s: DAY0 + day * 86400 + s, st.integers(0, 2),
+                      st.sampled_from([0, 1, 900, 86399]))
+stream_skew = st.sampled_from([0, 1, -86400, 3 * 86400])
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields=st.lists(st.tuples(stream_profiles, st.booleans(), st.sampled_from([5, 50]),
+                                 st.sampled_from(list(Channel)), tricky_floats, stream_ts,
+                                 st.integers(1, 2**40), stream_skew, stream_vwc),
+                       max_size=24),
+       data=st.data())
+@example(fields=[], data=None)
+@example(fields=[("a,b", True, 5, Channel.MOISTURE_VOLTAGE, 1.25, DAY0, 1, 0, None)], data=None)
+@example(fields=[(pid, pid != "p1", 5, Channel.MOISTURE_VOLTAGE, 1.25, DAY0, 1, 0, vwc)
+                 for pid, vwc in (("p1", None), ('q"r', 1.5), ("a&b", float("nan")))], data=None)
+@example(fields=[("p1", False, depth, Channel.MOISTURE_VOLTAGE, 1.25, DAY0, 1, skew, None)
+                 for depth, skew in ((5, 0), (50, 1))], data=None)
+def test_streamed_days_match_one_export_and_naive_oracles(fields, data):
+    # Rows written by hand to partitions of their node day, some to another
+    # profile's directory (as another program might), each read back and
+    # exported day by day: whatever the chunk edges, the bytes are those of
+    # one export of every row and of the naive oracles.
+    by_dir = {}
+    for pid, elsewhere, depth, ch, value, ts, seq, skew, vwc in fields:
+        row = RawReading(pid, depth, ch, value, ts, seq, ts + skew, vwc)
+        by_dir.setdefault("p-other" if elsewhere else pid, []).append(row)
+    with tempfile.TemporaryDirectory() as root:
+        for pdir, dir_rows in by_dir.items():
+            for row in dir_rows:
+                day = datetime.fromtimestamp(row.timestamp, tz=timezone.utc).strftime("%Y-%m-%d")
+                path = os.path.join(root, pdir, f"{day}.csv")
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "ab") as f:
+                    f.write((b"" if f.tell() else HEADER) + naive_csv_line(row))
+        store = Store(root)
+        windows = [(None, None)]
+        if data is not None:
+            edges = st.one_of(st.none(), instants, st.builds(lambda d, s: DAY0 + d * 86400 + s,
+                                                             st.integers(0, 4),
+                                                             st.sampled_from([-1, 0, 1])))
+            for _ in range(2):
+                start, end = data.draw(edges), data.draw(edges)
+                if start is not None and end is not None and start > end:
+                    start, end = end, start
+                windows.append((start, end))
+        # Rows of one query key keep the store's read order: directory, then
+        # append order.
+        in_dir_order = [row for pdir in sorted(by_dir) for row in by_dir[pdir]]
+        for pdir in (None, *sorted(by_dir)):
+            for start, end in windows:
+                want = naive_query(in_dir_order if pdir is None else by_dir[pdir],
+                                   start_ts=start, end_ts=end)
+                got = store.query(pdir, start, end)
+                assert [_exact(r) for r in got] == [_exact(r) for r in want]
+                days = store.query_days(pdir, start, end)
+                assert [_exact(r) for day in days for r in day] == [_exact(r) for r in want]
+                for fmt, oracle in (("csv", lambda rs: HEADER + b"".join(map(naive_csv_line, rs))),
+                                    ("json", naive_json_export), ("xml", naive_xml_export)):
+                    whole = export(list(got), fmt)
+                    assert whole == oracle(want)
+                    assert b"".join(export_chunks(store.query_days(pdir, start, end), fmt)) == whole
+                    # A chunk edge at every position of the whole store's rows,
+                    # then a drawn chunking, empty chunks among others.
+                    for k in range(len(got) + 1 if pdir is start is end is None else 0):
+                        assert b"".join(export_chunks([got[:k], got[k:]], fmt)) == whole
+                    if data is not None:
+                        cuts = sorted(data.draw(st.lists(st.integers(0, len(got)), max_size=6)))
+                        chunks = [got[a:b] for a, b in zip([0, *cuts], [*cuts, len(got)])]
+                        assert b"".join(export_chunks(chunks, fmt)) == whole
 
 
 def _parse_back_csv(data: bytes):
