@@ -26,10 +26,6 @@ class EmptySeries(ValueError):
     pass
 
 
-class MissingLayer(ValueError):
-    pass
-
-
 class NoOverlap(ValueError):
     pass
 
@@ -88,9 +84,10 @@ def _cv(std: float, mean: float) -> float | None:
     return None if mean == 0.0 else std / mean if std else 0.0
 
 
-def _value_lists(rows: list[RawReading], boundary_cm: int) -> tuple[dict, dict, dict]:
+def _value_lists(rows: list[RawReading]) -> tuple[dict, dict, dict]:
     """The values of ``rows``, each list in row order, from one pass: per
-    channel, per (depth, channel) and per (channel, depth < boundary_cm).
+    channel, per (depth, channel) and per (channel, depth <
+    SURFACE_BOUNDARY_CM).
     Row order keeps every statistic's floats as they were: ``math.dist``
     depends on the order of its terms, and ``min``/``max`` on it where
     0.0 meets -0.0 or a NaN, so no list is merged from the others."""
@@ -105,7 +102,7 @@ def _value_lists(rows: list[RawReading], boundary_cm: int) -> tuple[dict, dict, 
             ch = row.channel
             fns = appends[key] = (
                 by_channel.setdefault(ch, []).append, by_depth.setdefault(key, []).append,
-                by_layer.setdefault((ch, row.depth_cm < boundary_cm), []).append)
+                by_layer.setdefault((ch, row.depth_cm < SURFACE_BOUNDARY_CM), []).append)
         value = row.value
         fns[0](value)
         fns[1](value)
@@ -114,9 +111,10 @@ def _value_lists(rows: list[RawReading], boundary_cm: int) -> tuple[dict, dict, 
 
 
 def _summaries(by_channel: dict, by_depth: dict) -> dict:
-    # summarize's entries, from its value lists.
+    # The report's extrema (min/max/mean per channel) and depth_stats
+    # (n/mean/std/CV per depth and channel) entries, from their value lists.
     if not by_channel:
-        raise EmptySeries("summarize of no rows")
+        raise EmptySeries("validation_report of no rows")
     depth_stats = []
     for (d, ch), vals in sorted(by_depth.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
         mean = _mean(vals)
@@ -132,16 +130,10 @@ def _summaries(by_channel: dict, by_depth: dict) -> dict:
     }
 
 
-def summarize(rows: list[RawReading]) -> dict:
-    """The report's ``extrema`` (min/max/mean per channel) and
-    ``depth_stats`` (n/mean/std/CV per depth and channel) entries."""
-    by_channel, by_depth, _ = _value_lists(rows, SURFACE_BOUNDARY_CM)
-    return _summaries(by_channel, by_depth)
-
-
 def _contrast(by_layer: dict) -> dict:
-    # The layer_contrast entry from its value lists; a side with fewer than
-    # two values has no std, and then no comparison.
+    # The report's layer_contrast entry from its value lists: pooled sample
+    # std of surface vs subsurface values, per channel. A side with fewer
+    # than two values has no std, and then no comparison.
     out = {}
     for ch in sorted({ch for ch, _ in by_layer}, key=lambda c: c.value):
         surface_std = sample_std(by_layer.get((ch, True), []))
@@ -149,18 +141,6 @@ def _contrast(by_layer: dict) -> dict:
         out[ch.value] = {"surface_std": surface_std, "subsurface_std": subsurface_std,
                          "surface_more_variable": None if surface_std is None or subsurface_std is None
                          else surface_std > subsurface_std}
-    return out
-
-
-def layer_contrast(rows: list[RawReading], boundary_cm: int = SURFACE_BOUNDARY_CM) -> dict:
-    """The report's ``layer_contrast`` entry: pooled sample std of surface
-    (< boundary) vs subsurface (>= boundary) values, per channel. Raises
-    MissingLayer where a channel has fewer than two values on a side;
-    ``validation_report`` writes null for what it cannot compute instead."""
-    out = _contrast(_value_lists(rows, boundary_cm)[2])
-    for ch, lc in out.items():
-        if lc["surface_std"] is None or lc["subsurface_std"] is None:
-            raise MissingLayer(f"{ch}: need data on both sides of {boundary_cm} cm")
     return out
 
 
@@ -210,7 +190,7 @@ def validation_report(
         error = rmse(a, b)
         compared.append({"label": label, "rmse_percent": error, "rmse_fraction": error / 100.0,
                          "correlation": pearson(a, b), "n_pairs": len(pairs)})
-    by_channel, by_depth, by_layer = _value_lists(rows, SURFACE_BOUNDARY_CM)
+    by_channel, by_depth, by_layer = _value_lists(rows)
     return {
         "references": compared,
         **_summaries(by_channel, by_depth),

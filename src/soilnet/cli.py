@@ -16,12 +16,13 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import threading
 import time
 
 from soilnet import core
-from soilnet.core import Channel, RawReading
+from soilnet.core import Channel
 from soilnet.store import (
     DAY_S,
     Store,
@@ -158,7 +159,7 @@ def _profiles_from_config(cfg: dict, args) -> list[sim.ProfileConfig]:
         return [
             sim.ProfileConfig(
                 profile_id=p["profile_id"],
-                depths_cm=tuple(p.get("depths_cm", (5, 15, 50, 100))),
+                depths_cm=tuple(p.get("depths_cm", sim.ProfileConfig.depths_cm)),
                 cadence_s=int(p.get("cadence_s", args.cadence)),
                 seed=int(p.get("seed", args.seed)),
                 clock_scale=float(p.get("clock_scale", args.clock_scale)),
@@ -287,16 +288,12 @@ def _window(args) -> tuple[int | None, int | None]:
             parse_instant(args.end) if args.end else None)
 
 
-def _query_args(store: Store, args) -> list[RawReading]:
-    rows = store.query(args.profile, *_window(args))
-    _report_skipped(store.skipped)
-    return rows
-
-
 def cmd_export(args) -> int:
     """Write the export one node day at a time, as ``Store.query_days``
     reads it, so that it holds one day's rows, not the study period's.
-    A bad model file, profile or window fails before any byte is written."""
+    A bad model file, profile or window fails before any byte is written;
+    a later failure removes ``--out`` if it is a regular file, so that no
+    partial export is left (stdout keeps what it was sent)."""
     model = _load_model(args.model) if args.model else None
     store = Store(args.data_root)
     days = store.query_days(args.profile, *_window(args))
@@ -304,8 +301,15 @@ def cmd_export(args) -> int:
         days = (rows_with_vwc(rows, model) for rows in days)
     chunks = export_chunks(days, args.format)
     if args.out:
-        with open(args.out, "wb") as f:
-            f.writelines(chunks)
+        regular = False
+        try:
+            with open(args.out, "wb") as f:
+                regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+                f.writelines(chunks)
+        except BaseException:
+            if regular:  # never /dev/null, a pipe or a device
+                os.remove(os.path.realpath(args.out))  # the file written, not a link to it
+            raise
     else:
         sys.stdout.buffer.writelines(chunks)
     _report_skipped(store.skipped)
@@ -324,7 +328,9 @@ def cmd_report(args) -> int:
             raise UsageError(f"--reference wants label=path, got {spec_arg!r}")
         references.append((label, [(parse_instant(t), float(v))
                                    for t, v in _read_csv_pairs(path, 1)]))
-    rows = _query_args(Store(args.data_root), args)
+    store = Store(args.data_root)
+    rows = store.query(args.profile, *_window(args))
+    _report_skipped(store.skipped)
     if not rows:
         print("no rows in range", file=sys.stderr)
         return EXIT_RUNTIME

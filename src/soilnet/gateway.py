@@ -80,7 +80,7 @@ class Gateway(socketserver.ThreadingTCPServer):
     def __init__(self, listen_addr: tuple[str, int], store: Store, site: str = "site"):
         self.store = store
         # Channel is a str enum, so the store's keys, which hold the
-        # channel's value, are the keys validate_and_order looks up.
+        # channel's value, are the keys classify_line looks up.
         self.state = GatewayState(site, store.last_seqs())
         self._state_lock = threading.Lock()
         self._saved_at = time.monotonic()

@@ -8,6 +8,9 @@ Frames are ASCII bytes, LF-terminated, single-space separated, <= 512 bytes:
     ERR <code> <message>
 
 Topics are MQTT-style paths: site/{site}/profile/{p}/depth/{cm}/{moisture|temperature}
+
+``classify_line`` is the one place a line gets its verdict, its counter,
+its dedup move and its reply.
 """
 
 from __future__ import annotations
@@ -219,64 +222,53 @@ class GatewayState:
                 + self.foreign_site == self.pub_total)
 
 
-def validate_and_order(state: GatewayState, pub: Pub,
-                       store: Callable[[Pub], None] | None = None) -> Verdict:
-    """Classify one parsed PUB frame and update dedup state/counters.
-
-    Accept iff the topic names the gateway's site (the store keeps no
-    site), seq is beyond the stream's last-seen AND the value is within the
-    channel's physical range. An accepted frame is first handed to
-    ``store``, if given; last-seen and the counters move only once it has
-    returned, so a frame whose store raises is not counted at all and its
-    retry is classified afresh.
-    """
-    r = pub.reading
-    if pub.site != state.site:
-        state.pub_total += 1
-        state.foreign_site += 1
-        return Verdict.FOREIGN_SITE
-    key = (r.profile_id, r.depth_cm, r.channel)
-    if r.seq <= state.last_seen.get(key, 0):
-        state.pub_total += 1
-        state.duplicate += 1
-        return Verdict.DUPLICATE
-    if not value_in_range(r.channel, r.value):
-        state.pub_total += 1
-        state.out_of_range += 1
-        return Verdict.OUT_OF_RANGE
-    if store is not None:
-        store(pub)
-    state.pub_total += 1
-    state.last_seen[key] = r.seq
-    state.accepted += 1
-    return Verdict.ACCEPT
-
-
 def classify_line(state: GatewayState, line: bytes, store: Callable[[Pub], None],
                   ) -> tuple[Verdict | None, Frame | None]:
     """Parse, classify and answer one inbound line as the gateway does.
     Returns (verdict, reply): verdict is None for a frame that is no PUB,
-    reply None for a stray ACK or ERR. An accepted PUB goes to ``store``
-    (see ``validate_and_order``); a line that looks like a PUB but fails to
+    reply None for a stray ACK or ERR.
+
+    A PUB is accepted iff its topic names the gateway's site (the store
+    keeps no site), its seq is beyond the stream's last-seen AND its value
+    is within the channel's physical range. An accepted PUB is first
+    handed to ``store``; last-seen and the counters move only once it has
+    returned, so a PUB whose store raises is not counted at all and its
+    retry is classified afresh. A line that looks like a PUB but fails to
     parse counts as malformed, so the conservation identity holds."""
     try:
         frame = parse_frame(line)
     except Malformed as e:
-        if line.strip(b"\n").split(b" ", 1)[0] == b"PUB":
-            state.pub_total += 1
-            state.malformed += 1
-            return Verdict.MALFORMED, Err("malformed", e.reason)
-        return None, Err("malformed", e.reason)
-    if isinstance(frame, Pub):
-        verdict = validate_and_order(state, frame, store)
+        reply = Err("malformed", e.reason)
+        if line.strip(b"\n").split(b" ", 1)[0] != b"PUB":
+            return None, reply
+        state.malformed += 1
+        verdict = Verdict.MALFORMED
+    else:
+        if not isinstance(frame, Pub):
+            if isinstance(frame, Hello):
+                if frame.proto_version != PROTO_VERSION:
+                    return None, Err("version", f"unsupported proto_version, want {PROTO_VERSION}")
+                return None, Ack(0)
+            return None, None
         r = frame.reading
-        if verdict is Verdict.OUT_OF_RANGE:
-            return verdict, Err("out_of_range", f"value {r.value!r} outside channel range")
-        if verdict is Verdict.FOREIGN_SITE:
-            return verdict, Err("site", "topic names a site this gateway does not serve")
-        return verdict, Ack(r.seq)  # accepted or duplicate
-    if isinstance(frame, Hello):
-        if frame.proto_version != PROTO_VERSION:
-            return None, Err("version", f"unsupported proto_version, want {PROTO_VERSION}")
-        return None, Ack(0)
-    return None, None
+        key = (r.profile_id, r.depth_cm, r.channel)
+        if frame.site != state.site:
+            state.foreign_site += 1
+            verdict = Verdict.FOREIGN_SITE
+            reply = Err("site", "topic names a site this gateway does not serve")
+        elif r.seq <= state.last_seen.get(key, 0):
+            state.duplicate += 1
+            verdict = Verdict.DUPLICATE
+            reply = Ack(r.seq)
+        elif not value_in_range(r.channel, r.value):
+            state.out_of_range += 1
+            verdict = Verdict.OUT_OF_RANGE
+            reply = Err("out_of_range", f"value {r.value!r} outside channel range")
+        else:
+            store(frame)
+            state.last_seen[key] = r.seq
+            state.accepted += 1
+            verdict = Verdict.ACCEPT
+            reply = Ack(r.seq)
+    state.pub_total += 1
+    return verdict, reply

@@ -107,7 +107,7 @@ class SoilFieldModel:
             raise UnknownDepth(depth_cm) from None
 
 
-def default_field_model(depths_cm: tuple[int, ...] = (5, 15, 50, 100)) -> SoilFieldModel:
+def default_field_model(depths_cm: tuple[int, ...] = ProfileConfig.depths_cm) -> SoilFieldModel:
     return SoilFieldModel(
         depth_responses={d: _default_depth_response(d) for d in depths_cm}
     )

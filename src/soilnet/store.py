@@ -705,23 +705,15 @@ def _encode_chunks(chunks, encode, before, between, after, empty) -> Iterator[by
 
 
 def export(rows: list[RawReading], fmt: str) -> bytes:
-    """Serialize query-ordered rows; csv/json/xml carry identical data."""
+    """Serialize query-ordered rows; csv/json/xml carry identical data.
+    The JSON is the bytes of json.dumps(records, indent=2) plus a newline,
+    the XML those of ElementTree's indented <readings> tree plus a newline;
+    the XML of an id that is not ASCII raises UnicodeEncodeError."""
     return b"".join(export_chunks((rows,), fmt))
 
 
 def export_csv(rows: list[RawReading]) -> bytes:
     return export(rows, "csv")
-
-
-def export_json(rows: list[RawReading]) -> bytes:
-    """The bytes of json.dumps(records, indent=2) plus a newline."""
-    return export(rows, "json")
-
-
-def export_xml(rows: list[RawReading]) -> bytes:
-    """The bytes of ElementTree's indented <readings> tree plus a newline;
-    an id that is not ASCII raises UnicodeEncodeError."""
-    return export(rows, "xml")
 
 
 def rows_with_vwc(rows: list[RawReading], model: CalibrationModel) -> list[RawReading]:

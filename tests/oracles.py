@@ -213,6 +213,42 @@ def naive_looks_pub(line):
     return first in ("PUB", b"PUB")
 
 
+def naive_classify(site, lines):
+    """The gateway's verdict and reply for each PUB line of ``lines``, in
+    order, then its counters and its last-seen seq per (profile, depth,
+    channel value). A line is ``PUB site/{s}/profile/{p}/depth/{d}/{ch}
+    {seq} {ts} {value}`` with plain segments and a positive depth; a seq
+    below 1 or a value that is no finite float makes it malformed. Then,
+    in this order: another site is foreign, a seq at or below the stream's
+    last-seen a duplicate, a value outside its channel's range out of
+    range; any other line is accepted and moves last-seen."""
+    ranges = {"moisture": (0.0, 3.3), "temperature": (-55.0, 125.0)}
+    counters = {"accept": 0, "duplicate": 0, "out_of_range": 0, "malformed": 0,
+                "foreign_site": 0}
+    last_seen = {}
+    results = []
+    for line in lines:
+        _, topic, seq_s, _, value_s = line.decode("ascii").rstrip("\n").split(" ")
+        parts = topic.split("/")
+        key = (parts[3], int(parts[5]), parts[6])
+        seq = int(seq_s)
+        value = float(value_s)
+        if seq < 1 or value != value or value in (float("inf"), float("-inf")):
+            verdict, reply = "malformed", "ERR malformed"
+        elif parts[1] != site:
+            verdict, reply = "foreign_site", "ERR site"
+        elif seq <= last_seen.get(key, 0):
+            verdict, reply = "duplicate", f"ACK {seq}"
+        elif not ranges[key[2]][0] <= value <= ranges[key[2]][1]:
+            verdict, reply = "out_of_range", "ERR out_of_range"
+        else:
+            last_seen[key] = seq
+            verdict, reply = "accept", f"ACK {seq}"
+        counters[verdict] += 1
+        results.append((verdict, reply))
+    return results, counters, last_seen
+
+
 def naive_last_seqs(rows):
     """Highest seq per (profile, depth, channel value) among ``rows``."""
     out = {}

@@ -22,11 +22,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from soilnet.analytics import (
-    layer_contrast,
     pearson,
     render_report,
     rmse,
-    summarize,
     validation_report,
 )
 from soilnet.core import (
@@ -112,7 +110,7 @@ def test_criterion_2_published_coefficient_recovery():
 
 
 def test_criterion_3_statistics_oracle_equivalence():
-    with criterion(3, "rmse/pearson/summarize match naive oracles to 1e-12 on 100 seeded instances"):
+    with criterion(3, "rmse/pearson/validation_report match naive oracles to 1e-12 on 100 seeded instances"):
         for case in range(100):
             rng = random.Random(1000 + case)
             n = rng.randint(2, 1000)
@@ -126,7 +124,7 @@ def test_criterion_3_statistics_oracle_equivalence():
                 assert got_p == pytest.approx(want_p, abs=1e-12)
             rows = [RawReading("p1", 5, Channel.TEMPERATURE_C, v, T0 + i, i + 1, T0 + i)
                     for i, v in enumerate(a)]
-            s = summarize(rows)
+            s = validation_report(rows, [], [])
             ex = s["extrema"][Channel.TEMPERATURE_C]
             assert (ex["min"], ex["max"]) == sort_extrema(a)
             (ds,) = s["depth_stats"]
@@ -208,7 +206,7 @@ def test_criterion_6_surface_subsurface_contrast():
         rows = []
         for t in tick_times(10 * 86400, 900):
             rows.extend(step(profile, field, FIELD_CALIBRATION, t, T0))
-        contrasts = layer_contrast(rows)
+        contrasts = validation_report(rows, [], [])["layer_contrast"]
         assert contrasts[Channel.MOISTURE_VOLTAGE]["surface_more_variable"]
         assert contrasts[Channel.TEMPERATURE_C]["surface_more_variable"]
 

@@ -8,17 +8,14 @@ from soilnet.analytics import (
     Channel,
     EmptySeries,
     LengthMismatch,
-    MissingLayer,
     NoOverlap,
     align_nearest,
-    layer_contrast,
     pearson,
     plot_series_csv,
     render_report,
     report_to_json,
     rmse,
     sample_std,
-    summarize,
     validation_report,
 )
 from soilnet.core import RawReading
@@ -108,7 +105,7 @@ class TestPearson:
 
 class TestSummarize:
     def test_single_row(self):
-        s = summarize([row(1, T0, 5, Channel.MOISTURE_VOLTAGE, 1.30)])
+        s = validation_report([row(1, T0, 5, Channel.MOISTURE_VOLTAGE, 1.30)], [], [])
         ex = s["extrema"][Channel.MOISTURE_VOLTAGE]
         assert ex["min"] == ex["max"] == 1.30
         (ds,) = s["depth_stats"]
@@ -117,7 +114,7 @@ class TestSummarize:
     def test_extrema_match_table_bounds(self):
         values = [29.46, 35.0, 43.31, 40.0]
         rows = [row(i + 1, T0 + i, 5, Channel.MOISTURE_VOLTAGE, v) for i, v in enumerate(values)]
-        ex = summarize(rows)["extrema"][Channel.MOISTURE_VOLTAGE]
+        ex = validation_report(rows, [], [])["extrema"][Channel.MOISTURE_VOLTAGE]
         assert (ex["min"], ex["max"]) == (29.46, 43.31)
 
     def test_extrema_match_sort_oracle(self):
@@ -126,7 +123,7 @@ class TestSummarize:
             values = [rng.uniform(-50, 50) for _ in range(rng.randint(1, 200))]
             rows = [row(i + 1, T0 + i, 5, Channel.TEMPERATURE_C, v)
                     for i, v in enumerate(values)]
-            ex = summarize(rows)["extrema"][Channel.TEMPERATURE_C]
+            ex = validation_report(rows, [], [])["extrema"][Channel.TEMPERATURE_C]
             assert (ex["min"], ex["max"]) == sort_extrema(values)
 
     def test_std_and_cv_match_naive_oracle(self):
@@ -134,7 +131,7 @@ class TestSummarize:
         values = [rng.uniform(1, 10) for _ in range(500)]
         rows = [row(i + 1, T0 + i, 15, Channel.MOISTURE_VOLTAGE, v)
                 for i, v in enumerate(values)]
-        (ds,) = summarize(rows)["depth_stats"]
+        (ds,) = validation_report(rows, [], [])["depth_stats"]
         expected_std = naive_sample_std(values)
         assert ds["std"] == pytest.approx(expected_std, abs=1e-12)
         assert ds["cv"] == pytest.approx(expected_std / (sum(values) / len(values)), abs=1e-12)
@@ -148,7 +145,7 @@ class TestSummarize:
         assert sample_std(values) == 0.0
         assert pearson(values, list(range(n))) is None
         rows = [row(i + 1, T0 + i, 5, Channel.TEMPERATURE_C, c) for i in range(n)]
-        (ds,) = summarize(rows)["depth_stats"]
+        (ds,) = validation_report(rows, [], [])["depth_stats"]
         if c == 0.0:
             assert ds["cv"] is None
         else:
@@ -157,13 +154,13 @@ class TestSummarize:
     def test_cv_undefined_for_zero_mean(self):
         rows = [row(1, T0, 5, Channel.TEMPERATURE_C, -1.0),
                 row(2, T0 + 1, 5, Channel.TEMPERATURE_C, 1.0)]
-        (ds,) = summarize(rows)["depth_stats"]
+        (ds,) = validation_report(rows, [], [])["depth_stats"]
         assert ds["std"] == math.sqrt(2.0) and ds["cv"] is None
         assert sample_std([3.0]) is None
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySeries):
-            summarize([])
+            validation_report([], [], [])
 
 
 class TestLayerContrast:
@@ -181,26 +178,26 @@ class TestLayerContrast:
             [1.5 + rng.gauss(0, 0.2) for _ in range(100)],
             [1.5 + rng.gauss(0, 0.01) for _ in range(100)],
         )
-        (lc,) = layer_contrast(rows).values()
+        (lc,) = validation_report(rows, [], [])["layer_contrast"].values()
         assert lc["surface_more_variable"]
         assert lc["surface_std"] > lc["subsurface_std"]
 
     def test_identical_constants_not_more_variable(self):
         rows = self._rows([1.5] * 10, [1.5] * 10)
-        (lc,) = layer_contrast(rows).values()
+        (lc,) = validation_report(rows, [], [])["layer_contrast"].values()
         assert lc["surface_std"] == lc["subsurface_std"] == 0.0
         assert not lc["surface_more_variable"]
 
     def test_different_constants_not_more_variable(self):
         rows = self._rows([0.1] * 3, [1.5] * 10)
-        (lc,) = layer_contrast(rows).values()
+        (lc,) = validation_report(rows, [], [])["layer_contrast"].values()
         assert lc["surface_std"] == lc["subsurface_std"] == 0.0
         assert not lc["surface_more_variable"]
 
     def test_missing_layer(self):
         rows = [row(i + 1, T0 + i, 5, Channel.MOISTURE_VOLTAGE, 1.5) for i in range(5)]
-        with pytest.raises(MissingLayer):
-            layer_contrast(rows)
+        (lc,) = validation_report(rows, [], [])["layer_contrast"].values()
+        assert lc == {"surface_std": 0.0, "subsurface_std": None, "surface_more_variable": None}
 
     def test_boundary_at_30cm(self):
         rng = random.Random(9)
@@ -209,7 +206,9 @@ class TestLayerContrast:
             rows.append(row(i + 1, T0 + i, 15, Channel.MOISTURE_VOLTAGE, rng.uniform(1, 2)))
             rows.append(row(i + 1, T0 + i, 50, Channel.MOISTURE_VOLTAGE, rng.uniform(1, 2)))
         # 15 cm is surface, 50 cm subsurface
-        layer_contrast(rows)  # does not raise MissingLayer
+        (lc,) = validation_report(rows, [], [])["layer_contrast"].values()
+        assert lc["surface_std"] == sample_std([r.value for r in rows if r.depth_cm == 15])
+        assert lc["subsurface_std"] == sample_std([r.value for r in rows if r.depth_cm == 50])
 
 
 class TestAlignment:

@@ -403,6 +403,34 @@ class TestExport:
         assert capsys.readouterr() == ("", "".join(
             f"skipped 1 line(s) that are no rows: {path}\n" for path in paths))
 
+    def test_failed_export_leaves_no_out_file(self, tmp_path, capsys, monkeypatch):
+        # The second day's partition is a directory, so the export fails
+        # once it has written the first day.
+        root = str(tmp_path / "data")
+        assert run_cli(["simulate", "--offline", "--data-root", root, "--duration", "1d",
+                        "--start", "1700000000"]) == 0
+        second = os.path.join(root, "p1", "2023-11-15.csv")
+        os.remove(second)
+        os.mkdir(second)
+        capsys.readouterr()
+        out = tmp_path / "f.csv"
+        assert run_cli(["export", "--data-root", root, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: IsADirectoryError")
+        assert not out.exists()
+        # Through a symlink, the file written goes, not just the link.
+        os.symlink(out, tmp_path / "link.csv")
+        assert run_cli(["export", "--data-root", root, "--out", str(tmp_path / "link.csv")]) == 2
+        assert not out.exists()
+        # A target that is no regular file is never removed; with the
+        # removal stubbed, a bug here cannot delete /dev/null.
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        monkeypatch.setattr(os, "unlink", removed.append)
+        assert run_cli(["export", "--data-root", root, "--out", os.devnull]) == 2
+        assert removed == []
+        os.rmdir(second)
+        assert run_cli(["export", "--data-root", root, "--out", os.devnull]) == 0
+
     def test_empty_range_header_only(self, offline_store, capsys):
         rc = run_cli(["export", "--data-root", offline_store, "--format", "csv",
                       "--start", "0", "--end", "1"])

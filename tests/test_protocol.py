@@ -16,10 +16,9 @@ from soilnet.protocol import (
     parse_frame,
     parse_topic,
     render_frame,
-    validate_and_order,
 )
 
-from oracles import naive_looks_pub
+from oracles import naive_classify, naive_looks_pub
 
 segment = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), max_codepoint=127),
@@ -202,51 +201,54 @@ class TestParseFrame:
         assert render_frame(parse_frame(line)) == line
 
 
-def _pub(seq=1, value=1.30, depth=5, channel=Channel.MOISTURE_VOLTAGE):
-    return Pub("s", RawReading("p1", depth, channel, value, 1700000000, seq))
+def _line(seq=1, value=1.30, depth=5, channel=Channel.MOISTURE_VOLTAGE, site="s"):
+    return render_frame(Pub(site, RawReading("p1", depth, channel, value, 1700000000, seq)))
+
+
+def _verdict(state, line, store=lambda pub: None):
+    return classify_line(state, line, store)[0]
 
 
 class TestValidateAndOrder:
     def test_fresh_stream_accepts(self):
         state = GatewayState("s")
-        assert validate_and_order(state, _pub(seq=1)) is Verdict.ACCEPT
+        assert _verdict(state, _line(seq=1)) is Verdict.ACCEPT
         assert state.accepted == 1
 
     def test_replay_is_duplicate(self):
         state = GatewayState("s")
-        validate_and_order(state, _pub(seq=1))
-        assert validate_and_order(state, _pub(seq=1)) is Verdict.DUPLICATE
-        assert validate_and_order(state, _pub(seq=0)) is Verdict.DUPLICATE
+        _verdict(state, _line(seq=1))
+        assert _verdict(state, _line(seq=1)) is Verdict.DUPLICATE
 
     def test_out_of_range_moisture(self):
         state = GatewayState("s")
-        assert validate_and_order(state, _pub(value=5.0)) is Verdict.OUT_OF_RANGE
+        assert _verdict(state, _line(value=5.0)) is Verdict.OUT_OF_RANGE
         # last-seen not advanced: the same seq with a good value is accepted
-        assert validate_and_order(state, _pub(value=1.0)) is Verdict.ACCEPT
+        assert _verdict(state, _line(value=1.0)) is Verdict.ACCEPT
 
     def test_temperature_range(self):
         state = GatewayState("s")
-        ok = _pub(channel=Channel.TEMPERATURE_C, value=-54.0)
-        bad = _pub(seq=2, channel=Channel.TEMPERATURE_C, value=130.0)
-        assert validate_and_order(state, ok) is Verdict.ACCEPT
-        assert validate_and_order(state, bad) is Verdict.OUT_OF_RANGE
+        ok = _line(channel=Channel.TEMPERATURE_C, value=-54.0)
+        bad = _line(seq=2, channel=Channel.TEMPERATURE_C, value=130.0)
+        assert _verdict(state, ok) is Verdict.ACCEPT
+        assert _verdict(state, bad) is Verdict.OUT_OF_RANGE
 
     def test_streams_independent(self):
         state = GatewayState("s")
-        assert validate_and_order(state, _pub(seq=5, depth=5)) is Verdict.ACCEPT
-        assert validate_and_order(state, _pub(seq=5, depth=15)) is Verdict.ACCEPT
+        assert _verdict(state, _line(seq=5, depth=5)) is Verdict.ACCEPT
+        assert _verdict(state, _line(seq=5, depth=15)) is Verdict.ACCEPT
 
     def test_counter_conservation(self):
         state = GatewayState("s")
-        for pub in [_pub(1), _pub(1), _pub(2, value=9.9), _pub(3), _pub(2)]:
-            validate_and_order(state, pub)
+        for line in [_line(1), _line(1), _line(2, value=9.9), _line(3), _line(2)]:
+            _verdict(state, line)
         assert state.counters_consistent()
         assert (state.accepted, state.duplicate, state.out_of_range) == (2, 2, 1)
 
     def test_foreign_site_is_refused_before_dedup(self):
         state = GatewayState("A")
-        foreign = Pub("B", RawReading("p1", 5, Channel.MOISTURE_VOLTAGE, 1.3, 1700000000, 1))
-        assert validate_and_order(state, foreign, store=pytest.fail) is Verdict.FOREIGN_SITE
+        foreign = _line(site="B")
+        assert _verdict(state, foreign, store=pytest.fail) is Verdict.FOREIGN_SITE
         assert (state.foreign_site, state.pub_total, state.last_seen) == (1, 1, {})
         assert state.counters_consistent()
 
@@ -302,3 +304,41 @@ class TestClassifyLine:
         malformed = isinstance(reply, Err) and reply.code == "malformed"
         assert (verdict is Verdict.MALFORMED) == (malformed and naive_looks_pub(line))
         assert state.pub_total == naive_looks_pub(line)
+
+
+pub_lines = st.builds(
+    lambda site, profile, depth, channel, seq, value: (
+        f"PUB site/{site}/profile/{profile}/depth/{depth}/{channel} {seq} 1700000000 {value}\n"
+    ).encode("ascii"),
+    st.sampled_from(["s", "s", "s", "t"]),
+    st.sampled_from(["p1", "p2"]),
+    st.sampled_from([5, 15]),
+    st.sampled_from(["moisture", "temperature"]),
+    st.integers(0, 6),
+    st.sampled_from(["1.3", "0.0", "-0.0", "3.3", "3.31", "-0.01", "-55.0", "125.0", "125.5",
+                     "-60.0", "20", "1e-300", "nan", "inf", "-inf"]),
+)
+
+
+@given(st.lists(pub_lines, max_size=40))
+def test_classify_line_matches_naive_oracle(lines):
+    # Several sites and streams, repeated, skipped and zero seqs, values
+    # in and out of range: each verdict and reply, every counter and
+    # last-seen as the naive oracle has them, and each accepted line stored
+    # once, in order.
+    state, stored = GatewayState("s"), []
+    got = []
+    for line in lines:
+        verdict, reply = classify_line(state, line, stored.append)
+        head = f"ERR {reply.code}" if isinstance(reply, Err) else f"ACK {reply.seq}"
+        got.append((verdict.value, head))
+    want, counters, last_seen = naive_classify("s", lines)
+    assert got == want
+    assert {"accept": state.accepted, "duplicate": state.duplicate,
+            "out_of_range": state.out_of_range, "malformed": state.malformed,
+            "foreign_site": state.foreign_site} == counters
+    assert state.pub_total == len(lines) and state.counters_consistent()
+    assert state.last_seen == last_seen
+    assert [(render_frame(pub).rsplit(b" ", 2)[0], pub.reading.value) for pub in stored] == [
+        (line.rsplit(b" ", 2)[0], float(line.rsplit(b" ", 1)[1]))
+        for line, (verdict, _) in zip(lines, want) if verdict == "accept"]
