@@ -92,18 +92,15 @@ def _field_model_from_config(cfg: dict, depths: tuple[int, ...]) -> sim.SoilFiel
     from soilnet import sim
 
     fcfg = cfg.get("field", {})
-    base = sim.default_field_model(depths)
-    if not fcfg:
-        return base
-    kwargs = {}
+    params = {}
     for key in ("vwc_surface_range", "temp_range"):
         if key in fcfg:
-            kwargs[key] = tuple(fcfg[key])
+            params[key] = tuple(fcfg[key])
     for key in ("rain_event_rate_per_day", "diurnal_temp_amplitude_c",
                 "noise_sigma_voltage", "noise_sigma_temp_c"):
         if key in fcfg:
-            kwargs[key] = float(fcfg[key])
-    return sim.SoilFieldModel(depth_responses=base.depth_responses, **kwargs)
+            params[key] = float(fcfg[key])
+    return sim.default_field_model(depths, **params)
 
 
 def _cal_from_config(cfg: dict, model_path: str | None) -> core.CalibrationModel:
@@ -155,25 +152,17 @@ def cmd_serve(args) -> int:
 def _profiles_from_config(cfg: dict, args) -> list[sim.ProfileConfig]:
     from soilnet import sim
 
-    if cfg.get("profiles"):
-        return [
-            sim.ProfileConfig(
-                profile_id=p["profile_id"],
-                depths_cm=tuple(p.get("depths_cm", sim.ProfileConfig.depths_cm)),
-                cadence_s=int(p.get("cadence_s", args.cadence)),
-                seed=int(p.get("seed", args.seed)),
-                clock_scale=float(p.get("clock_scale", args.clock_scale)),
-            )
-            for p in cfg["profiles"]
-        ]
+    profiles = cfg.get("profiles") or [
+        {"profile_id": f"p{i + 1}", "seed": args.seed + i} for i in range(args.nodes)]
     return [
         sim.ProfileConfig(
-            profile_id=f"p{i + 1}",
-            cadence_s=args.cadence,
-            seed=args.seed + i,
-            clock_scale=args.clock_scale,
+            profile_id=p["profile_id"],
+            depths_cm=tuple(p.get("depths_cm", sim.ProfileConfig.depths_cm)),
+            cadence_s=int(p.get("cadence_s", args.cadence)),
+            seed=int(p.get("seed", args.seed)),
+            clock_scale=float(p.get("clock_scale", args.clock_scale)),
         )
-        for i in range(args.nodes)
+        for p in profiles
     ]
 
 

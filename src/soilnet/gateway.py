@@ -9,6 +9,7 @@ connection or the server.
 from __future__ import annotations
 
 import collections
+import contextlib
 import socket
 import socketserver
 import sys
@@ -17,6 +18,7 @@ import time
 
 from soilnet.core import RawReading
 from soilnet.protocol import (
+    COUNTERS,
     PROTO_VERSION,
     Ack,
     Err,
@@ -134,15 +136,7 @@ class Gateway(socketserver.ThreadingTCPServer):
 
     def counters(self) -> dict:
         with self._state_lock:
-            s = self.state
-            return {
-                "accepted": s.accepted,
-                "duplicate": s.duplicate,
-                "out_of_range": s.out_of_range,
-                "malformed": s.malformed,
-                "foreign_site": s.foreign_site,
-                "pub_total": s.pub_total,
-            }
+            return {name: getattr(self.state, name) for name in (*COUNTERS, "pub_total")}
 
 
 def serve(listen_addr: tuple[str, int], store: Store, site: str = "site") -> Gateway:
@@ -158,11 +152,15 @@ class GatewayClient:
 
     Each reading's PUB is rendered once, by ``publish``, and its line
     queues in ``buffer``; the queue goes out front-first, so each stream
-    reaches the gateway in seq order. On transport failure the client
-    reconnects with exponential backoff (base 1 s, cap 60 s by default);
-    unsent readings wait for the next ``publish``, which resends their
-    lines as rendered. A full queue (BUFFER_MAX) drops its oldest reading
-    (counted, never raising).
+    reaches the gateway in seq order. Each line is one exchange: send it,
+    then read one reply line within ``ack_timeout_s``. ACK means
+    acknowledged and an ERR other than ``ERR store`` rejected; anything
+    else is a transport failure: a socket error or timeout, a closed
+    connection, a reply that is no frame, ``ERR store`` or any other frame.
+    On one the client reconnects with exponential backoff (base 1 s, cap
+    60 s by default) up to ``max_attempts`` times; unsent readings wait for
+    the next ``publish``, which resends their lines as rendered. A full
+    queue (BUFFER_MAX) drops its oldest reading (counted, never raising).
     """
 
     def __init__(
@@ -190,56 +188,27 @@ class GatewayClient:
     def connect(self) -> None:
         self.close()
         sock = socket.create_connection(self.addr, timeout=self.ack_timeout_s)
-        sock.settimeout(self.ack_timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # see _Handler
         self._sock = sock
         self._rfile = sock.makefile("rb")
-        self._send(render_frame(Hello(self.node_id, PROTO_VERSION)))
-        reply = self._recv()
+        reply = self._exchange(render_frame(Hello(self.node_id, PROTO_VERSION)))
         if not isinstance(reply, Ack):
             raise TransportClosed(f"handshake rejected: {reply!r}")
 
     def close(self) -> None:
-        if self._rfile is not None:
-            try:
-                self._rfile.close()
-            except OSError:
-                pass
-            self._rfile = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        for handle in (self._rfile, self._sock):
+            if handle is not None:
+                with contextlib.suppress(OSError):
+                    handle.close()
+        self._rfile = self._sock = None
 
-    def _send(self, data: bytes) -> None:
-        if self._sock is None:
-            raise TransportClosed("not connected")
-        try:
-            self._sock.sendall(data)
-        except OSError as e:
-            raise TransportClosed(str(e)) from e
-
-    def _recv(self) -> Frame:
-        try:
-            line = self._rfile.readline(4096)
-        except OSError as e:
-            raise TransportClosed(str(e)) from e
-        if not line:
+    def _exchange(self, line: bytes) -> Frame:
+        """Send one frame line and return the gateway's reply to it."""
+        self._sock.sendall(line)
+        reply = self._rfile.readline(_READ_CAP)
+        if not reply:
             raise TransportClosed("connection closed by gateway")
-        return parse_frame(line)
-
-    def _publish_once(self, line: bytes) -> str:
-        self._send(line)
-        reply = self._recv()
-        if isinstance(reply, Ack):
-            return "acknowledged"
-        if isinstance(reply, Err):
-            if reply.code == "store":  # the gateway could not store it: retry
-                raise TransportClosed(f"gateway store failed: {reply.message}")
-            return "rejected"
-        raise TransportClosed(f"unexpected reply {reply!r}")
+        return parse_frame(reply)
 
     def publish(self, reading: RawReading) -> str:
         """Queue one reading, then send the queue front-first; returns this
@@ -258,11 +227,17 @@ class GatewayClient:
                 if self._sock is None:
                     self.connect()
                 while self.buffer:
-                    status = self._publish_once(self.buffer[0])
+                    reply = self._exchange(self.buffer[0])
+                    if isinstance(reply, Ack):
+                        status, counter = "acknowledged", "acked"
+                    elif isinstance(reply, Err) and reply.code != "store":
+                        status = counter = "rejected"
+                    else:  # ERR store (not stored) or a frame that answers no PUB: resend
+                        raise TransportClosed(f"unexpected reply {reply!r}")
                     self.buffer.popleft()
-                    self.counters["acked" if status == "acknowledged" else "rejected"] += 1
+                    self.counters[counter] += 1
                 return status  # of the last reading sent, this one
-            except (TransportClosed, OSError, Malformed):
+            except (OSError, Malformed):  # TransportClosed and socket timeouts included
                 self.close()
                 self.counters["retries"] += 1
                 if attempt < self.max_attempts - 1:

@@ -200,12 +200,16 @@ class Verdict(Enum):
     FOREIGN_SITE = "foreign_site"
 
 
+# The per-verdict counters of GatewayState, in the order the gateway reports them.
+COUNTERS = ("accepted", "duplicate", "out_of_range", "malformed", "foreign_site")
+
+
 @dataclass
 class GatewayState:
     """The gateway's site, per-stream dedup state and frame counters.
 
-    Invariant: accepted + duplicate + out_of_range + malformed +
-    foreign_site equals the number of PUB-typed frames received.
+    Invariant: the COUNTERS sum to pub_total, the number of PUB-typed
+    frames received.
     """
 
     site: str
@@ -218,8 +222,7 @@ class GatewayState:
     pub_total: int = 0
 
     def counters_consistent(self) -> bool:
-        return (self.accepted + self.duplicate + self.out_of_range + self.malformed
-                + self.foreign_site == self.pub_total)
+        return sum(getattr(self, name) for name in COUNTERS) == self.pub_total
 
 
 def classify_line(state: GatewayState, line: bytes, store: Callable[[Pub], None],

@@ -67,15 +67,16 @@ class DepthResponse:
     drying_time_constant_h: float
 
 
-def _default_depth_response(depth_cm: int) -> DepthResponse:
-    # Surface band spans the full observed range; deeper layers sit on a
-    # higher, narrower band with slower dynamics.
+def _default_depth_response(depth_cm: int, vwc_range: tuple[float, float]) -> DepthResponse:
+    # vwc_range is the band at depth 0; deeper layers sit on a higher,
+    # narrower band with slower dynamics.
+    lo, hi = vwc_range
     att = math.exp(-depth_cm / 35.0)
     return DepthResponse(
         temp_amp_factor=math.exp(-depth_cm / 30.0),
         temp_phase_lag_h=depth_cm * 0.06,
-        vwc_floor=29.46 + 6.6 * (1.0 - math.exp(-depth_cm / 40.0)),
-        vwc_amp=(43.31 - 29.46) * att,
+        vwc_floor=lo + 6.6 * (1.0 - math.exp(-depth_cm / 40.0)),
+        vwc_amp=(hi - lo) * att,
         rain_lag_h=depth_cm * 0.1,
         drying_time_constant_h=48.0 + depth_cm * 1.5,
     )
@@ -107,9 +108,14 @@ class SoilFieldModel:
             raise UnknownDepth(depth_cm) from None
 
 
-def default_field_model(depths_cm: tuple[int, ...] = ProfileConfig.depths_cm) -> SoilFieldModel:
+def default_field_model(depths_cm: tuple[int, ...] = ProfileConfig.depths_cm,
+                        **params) -> SoilFieldModel:
+    """The field model with ``params`` (SoilFieldModel fields other than
+    ``depth_responses``) over its defaults, and a response for each of
+    ``depths_cm`` whose moisture band derives from ``vwc_surface_range``."""
+    vwc_range = params.get("vwc_surface_range", SoilFieldModel.vwc_surface_range)
     return SoilFieldModel(
-        depth_responses={d: _default_depth_response(d) for d in depths_cm}
+        depth_responses={d: _default_depth_response(d, vwc_range) for d in depths_cm}, **params
     )
 
 

@@ -13,10 +13,12 @@ import time
 
 import pytest
 
+from soilnet import cli
 from soilnet.cli import build_parser, main, parse_addr, parse_duration, parse_instant
 from soilnet.core import FIELD_CALIBRATION, apply_calibration
 from soilnet.gateway import Gateway, serve
 from soilnet.protocol import Ack
+from soilnet.sim import ProfileConfig, SoilFieldModel, ground_truth
 from soilnet.store import Store, export_csv, iso_utc, rows_with_vwc
 
 from oracles import naive_store_last_seqs
@@ -231,6 +233,20 @@ class TestSimulateOffline:
         ])
         assert rc == 0
         assert Store(other).query() == Store(offline_store).query()
+
+    @pytest.mark.parametrize("delta", [-20.0, 3.5])
+    def test_configured_vwc_surface_range_moves_every_depths_band(self, delta):
+        depths = ProfileConfig.depths_cm
+        lo, hi = SoilFieldModel.vwc_surface_range
+        base = cli._field_model_from_config({}, depths)
+        moved = cli._field_model_from_config(
+            {"field": {"vwc_surface_range": [lo + delta, hi + delta]}}, depths)
+        for t_s in range(0, 3 * 86400, 1800):
+            for depth in depths:
+                (vwc, temp), (moved_vwc, moved_temp) = (
+                    ground_truth(base, 7, t_s, depth), ground_truth(moved, 7, t_s, depth))
+                assert moved_vwc - vwc == pytest.approx(delta, abs=1e-9)
+                assert moved_temp == temp
 
     def test_start_before_year_1000_exit_2_and_stores_nothing(self, tmp_path, capsys):
         # Year 999 would be written as a "999-12-31" partition that no

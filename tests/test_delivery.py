@@ -27,7 +27,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from soilnet.core import Channel, RawReading
 from soilnet.gateway import Gateway
-from soilnet.protocol import Ack, Err, Pub, render_frame
+from soilnet.protocol import COUNTERS, Ack, Err, Pub, render_frame
 from soilnet.store import CHECKPOINT, Store, iso_utc
 
 from oracles import naive_last_seqs
@@ -42,7 +42,6 @@ STREAMS = [(profile, depth, channel) for profile in ("p1", "p2") for depth in (5
            for channel in Channel]
 IN_RANGE = {Channel.MOISTURE_VOLTAGE: 1.3, Channel.TEMPERATURE_C: 21.5}
 OUT_OF_RANGE = {Channel.MOISTURE_VOLTAGE: 5.0, Channel.TEMPERATURE_C: 130.0}
-COUNTERS = ("accepted", "duplicate", "out_of_range", "malformed", "foreign_site")
 
 
 def pub_line(stream, seq, value, site=SITE):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import os
@@ -181,10 +182,46 @@ class TestSite:
         assert Store(root).query() == []
 
 
+class _FaultyPeerHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        self.rfile.readline()
+        self.wfile.write(b"ACK 0\n")  # the HELLO succeeds
+        if self.server.fault == "hang_up":
+            return
+        while self.rfile.readline():
+            if self.server.fault == "no_frame":
+                self.wfile.write(b"OK thanks\n")
+
+
+class TestFaultyPeer:
+    """A real socket to a peer that accepts the HELLO, then, for each PUB,
+    never replies ("silent"), has closed the connection ("hang_up") or
+    replies with a line that is no frame ("no_frame")."""
+
+    @pytest.mark.parametrize("fault", ["silent", "hang_up", "no_frame"])
+    def test_reading_stays_queued_after_max_attempts(self, fault):
+        peer = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _FaultyPeerHandler)
+        peer.daemon_threads = True
+        peer.fault = fault
+        threading.Thread(target=peer.serve_forever, args=(0.05,), daemon=True).start()
+        client = GatewayClient(peer.server_address, node_id="n1", site="s",
+                               ack_timeout_s=0.2, backoff_base_s=0.001, max_attempts=3)
+        try:
+            assert client.publish(reading(seq=1)) == "buffered"
+            assert client._sock is None and client._rfile is None
+        finally:
+            client.close()
+            peer.shutdown()
+            peer.server_close()
+        assert client.counters == {"acked": 0, "rejected": 0, "dropped_overflow": 0, "retries": 3}
+        assert [parse_frame(line).reading.seq for line in client.buffer] == [1]
+        gc.collect()  # an unclosed socket's ResourceWarning fails this test, not a later one
+
+
 class InProcessClient(GatewayClient):
     """A GatewayClient whose connection is a direct call into ``gw``'s
     ``handle_line``. A connect fails while ``reachable`` is false, and each
-    ``_publish_once`` takes the next of ``faults``: None, "pub_lost" (fails
+    ``_exchange`` takes the next of ``faults``: None, "pub_lost" (fails
     before the gateway sees the PUB) or "ack_lost" (fails after)."""
 
     def __init__(self, gw, faults=()):
@@ -193,7 +230,6 @@ class InProcessClient(GatewayClient):
         self.faults = iter(faults)
         self.reachable = True
         self.sent = []  # every PUB line the gateway was handed, in order
-        self._reply = None
 
     def connect(self):
         if not self.reachable:
@@ -203,21 +239,15 @@ class InProcessClient(GatewayClient):
     def close(self):
         self._sock = None
 
-    def _send(self, data):
-        self.sent.append(data)
-        self._reply = self.gw.handle_line(data)
-
-    def _recv(self):
-        return self._reply
-
-    def _publish_once(self, line):
+    def _exchange(self, line):
         fault = next(self.faults, None)
         if fault == "pub_lost":
             raise TransportClosed("PUB lost")
-        status = super()._publish_once(line)
+        self.sent.append(line)
+        reply = self.gw.handle_line(line)
         if fault == "ack_lost":
             raise TransportClosed("ACK lost")
-        return status
+        return reply
 
 
 class TestClientQueue:

@@ -3,6 +3,8 @@ round of ``perfbench/phases.py``) replace by module or class attribute.
 Each must be the one the program calls, once per PUB, per tick or per
 calibrated row, or a traced run would count nothing."""
 
+import socket
+
 from soilnet import gateway, sim, store
 from soilnet.cli import main
 from soilnet.core import FIELD_CALIBRATION, Channel, RawReading
@@ -33,6 +35,37 @@ def test_one_pub_classifies_and_appends_once_through_the_patched_names(tmp_path,
     assert verdict.value in VERDICTS
     [((_, row), _)] = appended
     assert (row.profile_id, row.depth_cm, row.seq) == ("p1", 5, 1)
+
+
+def test_perfbench_client_reads_each_reply_once_through_socketio(tmp_path, monkeypatch):
+    # Built and connected as perfbench/phases.py's _client is; its read
+    # round counts SocketIO.readinto calls as round trips.
+    gw = gateway.serve(("127.0.0.1", 0), store.Store(str(tmp_path / "data")))
+    client = gateway.GatewayClient(gw.bound_addr, node_id="perfbench", ack_timeout_s=10.0,
+                                   backoff_base_s=0.05, backoff_cap_s=0.2, max_attempts=3)
+    reads = []
+    readinto = socket.SocketIO.readinto
+
+    def counting(sio, buf):
+        # The gateway's own reads go through SocketIO too: count the client's.
+        if client._rfile is not None and sio is client._rfile.raw:
+            reads.append(len(buf))
+        return readinto(sio, buf)
+
+    monkeypatch.setattr(socket.SocketIO, "readinto", counting)
+    n = 20
+    try:
+        client.connect()
+        assert len(reads) == 1  # the HELLO's ACK
+        statuses = [client.publish(RawReading("p1", 5, Channel.MOISTURE_VOLTAGE, 1.3,
+                                              1700000000 + 900 * seq, seq))
+                    for seq in range(1, n + 1)]
+    finally:
+        client.close()
+        gw.shutdown()
+        gw.server_close()
+    assert statuses == ["acknowledged"] * n
+    assert len(reads) == 1 + n
 
 
 def test_simulate_offline_steps_once_per_tick_through_the_patched_name(tmp_path, monkeypatch):
