@@ -112,8 +112,13 @@ def default_field_model(depths_cm: tuple[int, ...] = ProfileConfig.depths_cm,
                         **params) -> SoilFieldModel:
     """The field model with ``params`` (SoilFieldModel fields other than
     ``depth_responses``) over its defaults, and a response for each of
-    ``depths_cm`` whose moisture band derives from ``vwc_surface_range``."""
+    ``depths_cm`` whose moisture band derives from ``vwc_surface_range``.
+    A ``temp_range`` given without ``diurnal_temp_amplitude_c`` sets the
+    amplitude to half its width, so the temperature stays in the band."""
     vwc_range = params.get("vwc_surface_range", SoilFieldModel.vwc_surface_range)
+    if "temp_range" in params and "diurnal_temp_amplitude_c" not in params:
+        band = params["temp_range"]
+        params["diurnal_temp_amplitude_c"] = (band[1] - band[0]) / 2.0
     return SoilFieldModel(
         depth_responses={d: _default_depth_response(d, vwc_range) for d in depths_cm}, **params
     )

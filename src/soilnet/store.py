@@ -8,7 +8,10 @@ its rows in order and writes the fields that a run of rows shares (node
 time, receive time and profile: the 8 streams of a node tick) once per
 run. ``Store.query_days`` reads the store one node day at a time, and
 ``export_chunks`` encodes what it yields chunk by chunk, so an export of
-the whole study period holds one day's rows at a time.
+the whole study period holds one day's rows at a time. The reader is
+handed the query's window: it checks every line of a partition it opens,
+so what it counts as skipped never depends on the window, but builds only
+the rows inside it.
 
 On-disk layout: {root}/{profile_id}/{YYYY-MM-DD}.csv, one header line per
 file, rows appended in receive order and never rewritten. A row's
@@ -359,8 +362,8 @@ class Store:
         node day, in day order, each sorted by node timestamp then profile,
         depth, channel and seq: taken in turn, query order. Reads one day's
         partitions at a time, only those of the window's days, as the
-        lists are taken; each row is built once, as ``_rows`` reads its
-        partition, and those outside the window are then dropped.
+        lists are taken. ``_rows`` checks every line of each partition it
+        reads, but builds only the rows inside the window, once each.
         Checks its arguments at once: ValueError for a reversed window,
         UnknownProfile only when the store holds other profiles but not the
         requested one; an empty store yields nothing."""
@@ -394,21 +397,18 @@ class Store:
         for day in sorted(by_day):
             rows: list[RawReading] = []
             for path in by_day[day]:
-                rows += self._read(path, day)
-            if (start_ts is not None and start_ts > day * DAY_S
-                    or end_ts is not None and end_ts < day * DAY_S + DAY_S):
-                rows = [r for r in rows
-                        if (start_ts is None or r.timestamp >= start_ts)
-                        and (end_ts is None or r.timestamp < end_ts)]
+                rows += self._read(path, day, start_ts, end_ts)
             if rows:
                 rows.sort(key=_QUERY_ORDER)
                 yield rows
 
-    def _read(self, path: str, day: int | None) -> list[RawReading]:
-        """The rows of the partition ``path`` of day ``day``; its count of
-        skipped lines goes to ``skipped``."""
+    def _read(self, path: str, day: int | None, start_ts: int | None = None,
+              end_ts: int | None = None) -> list[RawReading]:
+        """The rows of the partition ``path`` of day ``day`` with a node
+        time in [start_ts, end_ts); its count of skipped lines, which does
+        not depend on the window, goes to ``skipped``."""
         with open(path, "rb") as f:
-            rows, self.skipped[path] = _rows(f.read(), 0, day)
+            rows, self.skipped[path] = _rows(f.read(), 0, day, start_ts, end_ts)
         return rows
 
     def last_seqs(self) -> dict[tuple[str, int, str], int]:
@@ -550,17 +550,22 @@ def _read_covered(path: str, day: int | None, entry: _Covered | None) -> _Covere
                     (st.st_mtime_ns, st.st_ino), skipped + more)
 
 
-def _rows(data: bytes, start: int, day: int | None) -> tuple[list[RawReading], int]:
+def _rows(data: bytes, start: int, day: int | None, start_ts: int | None = None,
+          end_ts: int | None = None) -> tuple[list[RawReading], int]:
     """The rows (see the module docstring) of the bytes ``data`` of the
     partition of day ``day`` (None: a file whose name is no day, which
     holds no row), from byte ``start`` (0: the header) to the last newline,
-    each line made straight into a ``core.RawReading``, and how many lines
-    are no rows, a first line other than the header too. ``data`` is
-    checked for ASCII once, and line by line only when some byte is not.
-    Runs of lines share a profile field (a partition is one profile's) and
-    a timestamp (the streams of one tick), so each of those two fields,
-    when equal to the last one that parsed and passed its checks, reuses
-    its parsed value: a node time is checked against the day once per run."""
+    whose node time lies in [start_ts, end_ts) (None: unbounded), each made
+    straight into a ``core.RawReading``, and how many lines are no rows, a
+    first line other than the header too. Every line is split, converted
+    and checked whatever the window, so the count does not depend on it;
+    a row outside the window is just never built. ``data`` is checked for
+    ASCII once, and line by line only when some byte is not. Runs of lines
+    share a profile field (a partition is one profile's) and a timestamp
+    (the streams of one tick), so each of those two fields, when equal to
+    the last one that parsed and passed its checks, reuses its parsed
+    value: a node time is checked against the day and the window once per
+    run."""
     end = data.rfind(b"\n") + 1
     skipped = 0
     if start == 0 and end:
@@ -574,15 +579,22 @@ def _rows(data: bytes, start: int, day: int | None) -> tuple[list[RawReading], i
     append = rows.append
     # The node times of the day; every one of them lies in TS_RANGE (_file_day).
     first, after = (0, 0) if day is None else (day * DAY_S, day * DAY_S + DAY_S)
+    keep_from = first if start_ts is None else start_ts
+    keep_to = after if end_ts is None else end_ts
     lo, hi = TS_RANGE
+    found = 0  # rows, built or not
     # Memos, each set only from a field that parsed and passed its checks.
-    last_pid = last_ts = profile = t = None
+    last_pid = last_ts = profile = t = keep = None
     for line in lines:
         if not (ascii_only or line.isascii()):
             continue
         try:
-            ts, recv, rest = line.split(",", 2)
-            pid, depth, chan, seq, value, vwc = rest.rsplit(",", 5)
+            fields = line.split(",")
+            if len(fields) == 8:
+                ts, recv, pid, depth, chan, seq, value, vwc = fields
+            else:  # a quoted id holding commas, or no row
+                ts, recv, rest = line.split(",", 2)
+                pid, depth, chan, seq, value, vwc = rest.rsplit(",", 5)
             if pid != last_pid:
                 unquoted = pid[1:-1].replace('""', '"') if pid[:1] == '"' else pid
                 if _csv_field(unquoted) != pid:
@@ -592,18 +604,21 @@ def _rows(data: bytes, start: int, day: int | None) -> tuple[list[RawReading], i
                 node = parse_iso_utc(ts)
                 if not first <= node < after:
                     continue
-                t, last_ts = node, ts
+                t, last_ts, keep = node, ts, keep_from <= node < keep_to
             if recv == ts:
                 r = t
             else:
                 r = parse_iso_utc(recv)
                 if not lo <= r <= hi:
                     continue
-            append(RawReading(profile, int(depth), _CHANNELS[chan], float(value), t, int(seq), r,
-                              float(vwc) if vwc else None))
+            depth, channel, value, seq = int(depth), _CHANNELS[chan], float(value), int(seq)
+            vwc = float(vwc) if vwc else None
+            found += 1
+            if keep:
+                append(RawReading(profile, depth, channel, value, t, seq, r, vwc))
         except (ValueError, KeyError):
             pass
-    return rows, skipped + len(lines) - len(rows)
+    return rows, skipped + len(lines) - found
 
 
 _HEADER = (",".join(EXPORT_FIELDS) + "\n").encode("ascii")

@@ -15,10 +15,10 @@ import pytest
 
 from soilnet import cli
 from soilnet.cli import build_parser, main, parse_addr, parse_duration, parse_instant
-from soilnet.core import FIELD_CALIBRATION, apply_calibration
+from soilnet.core import FIELD_CALIBRATION, Channel, apply_calibration
 from soilnet.gateway import Gateway, serve
 from soilnet.protocol import Ack
-from soilnet.sim import ProfileConfig, SoilFieldModel, ground_truth
+from soilnet.sim import ProfileConfig, SoilFieldModel, ground_truth, step
 from soilnet.store import Store, export_csv, iso_utc, rows_with_vwc
 
 from oracles import naive_store_last_seqs
@@ -247,6 +247,23 @@ class TestSimulateOffline:
                     ground_truth(base, 7, t_s, depth), ground_truth(moved, 7, t_s, depth))
                 assert moved_vwc - vwc == pytest.approx(delta, abs=1e-9)
                 assert moved_temp == temp
+
+    def test_configured_temp_range_bounds_every_depths_temperature(self):
+        depths = ProfileConfig.depths_cm
+        field = {"temp_range": [14.0, 16.0], "noise_sigma_temp_c": 0.0}
+        banded = cli._field_model_from_config({"field": field}, depths)
+        wider = cli._field_model_from_config(
+            {"field": {**field, "diurnal_temp_amplitude_c": 3.0}}, depths)
+        assert wider.diurnal_temp_amplitude_c == 3.0  # an explicit amplitude wins
+        profile = ProfileConfig("p1", depths_cm=depths)
+        temps, wider_temps = [], []
+        for t_s in range(0, 2 * 86400, profile.cadence_s):
+            for fieldm, out in ((banded, temps), (wider, wider_temps)):
+                out += [r.value for r in step(profile, fieldm, FIELD_CALIBRATION, t_s)
+                        if r.channel is Channel.TEMPERATURE_C]
+        assert len(temps) == len(depths) * 2 * 86400 // profile.cadence_s
+        assert 14.0 <= min(temps) and max(temps) <= 16.0
+        assert max(wider_temps) > 16.0
 
     def test_start_before_year_1000_exit_2_and_stores_nothing(self, tmp_path, capsys):
         # Year 999 would be written as a "999-12-31" partition that no

@@ -103,3 +103,24 @@ def test_report_calibrates_only_the_compared_series_through_the_patched_name(tmp
     shallowest = min(r.depth_cm for r in rows)
     assert [args[1] for args, _ in calibrated] == [
         r.value for r in rows if r.depth_cm == shallowest and r.channel is Channel.MOISTURE_VOLTAGE]
+
+
+def test_perfbench_read_round_gets_a_list_of_readings_that_export_and_calibrate_take(tmp_path):
+    # perfbench/phases.py's read round times Store(root).query over a
+    # one-day window of one profile, then hands the list it returns to
+    # store.export, once per format, and to store.rows_with_vwc.
+    root = str(tmp_path / "data")
+    assert main(["simulate", "--offline", "--data-root", root, "--nodes", "2",
+                 "--duration", "2d", "--start", "1700000000"]) == 0
+    start = 1700000000 + 43200  # mid-day: the window cuts two partitions
+    rows = store.Store(root).query("p1", start, start + 86400)
+    assert type(rows) is list
+    assert {r.timestamp // 86400 for r in rows} == {start // 86400, start // 86400 + 1}
+    assert all(type(r) is RawReading and r.profile_id == "p1" and r.recv_timestamp is not None
+               and start <= r.timestamp < start + 86400 for r in rows)
+    assert len(rows) == 96 * 8
+    order = [(r.timestamp, r.profile_id, r.depth_cm, r.channel.value, r.seq) for r in rows]
+    assert order == sorted(order)
+    for fmt in ("csv", "json", "xml"):
+        assert type(store.export(rows, fmt)) is bytes
+    assert len(store.rows_with_vwc(rows, FIELD_CALIBRATION)) == len(rows)

@@ -41,7 +41,8 @@ from oracles import (
 )
 
 T0 = 1700000000  # mid-partition UTC instant
-DAY0 = 19675 * 86400  # 2023-11-14T00:00:00Z, the UTC midnight before T0
+DAY_S = 86400
+DAY0 = 19675 * DAY_S  # 2023-11-14T00:00:00Z, the UTC midnight before T0
 
 
 # Whole datetime range (years 1..9999), before and after the epoch, and
@@ -912,6 +913,131 @@ def test_streamed_days_match_one_export_and_naive_oracles(fields, data):
                         cuts = sorted(data.draw(st.lists(st.integers(0, len(got)), max_size=6)))
                         chunks = [got[a:b] for a, b in zip([0, *cuts], [*cuts, len(got)])]
                         assert b"".join(export_chunks(chunks, fmt)) == whole
+
+
+def _respelled(row: RawReading, k: int, text: str) -> bytes:
+    """``row``'s partition line with its k-th field written as ``text``."""
+    ts, recv, rest = naive_csv_line(row)[:-1].split(b",", 2)
+    fields = [ts, recv, *rest.rsplit(b",", 5)]
+    fields[k] = text.encode("ascii")
+    return b",".join(fields)
+
+
+def _spellings(row: RawReading) -> list[tuple[int, str]]:
+    """(field index, text) pairs that the reader reads as ``row``'s field
+    there, although no Store writes them (README: "One reader reads every
+    partition")."""
+    t = iso_utc(row.timestamp)
+    out = [(3, f"+{row.depth_cm}"), (3, f" {row.depth_cm}"), (5, f"0_{row.seq}"),
+           (6, f" {row.value!r}")]
+    if t[11] == "0":
+        out.append((0, t[:11] + t[12:]))  # the hour without its leading zero
+    if row.value == 1.0:
+        out.append((6, "1e0"))
+    if row.vwc_percent is not None:  # a CRLF line end is the float's whitespace
+        out += [(7, f" {row.vwc_percent!r}"), (7, f"{row.vwc_percent!r}\r")]
+    return out
+
+
+# Lines that are no row in any partition, beyond FOREIGN_LINES: a CRLF line
+# end after an empty vwc_percent, a receive time before year 1000, and a
+# profile field quoted where it needs no quotes.
+MORE_FOREIGN_LINES = [GOOD_LINE + b"\r", _spoil_field(1, b"0999-06-01T00:00:00Z"),
+                      _spoil_field(2, b'"p1"')]
+second_of_day = st.sampled_from([0, 1, 900, 43200, 86399]) | st.integers(0, DAY_S - 1)
+
+
+def _partition_lines(first: int):
+    """(line, row) for the partition of the day that starts at ``first``:
+    a row of that day in any time order, canonical or respelled, or a line
+    that is no row (row None)."""
+    rows = st.builds(
+        lambda pid, depth, ch, value, s, seq, skew, vwc:
+            RawReading(pid, depth, ch, value, first + s, seq, first + s + skew, vwc),
+        st.sampled_from(["p1", "a,b", 'q"r']), st.sampled_from([5, 50]),
+        st.sampled_from(list(Channel)), st.sampled_from([1.0, 1.3, float("nan")]),
+        second_of_day, st.integers(1, 99), stream_skew, st.none() | st.sampled_from([41.5]))
+    good = rows.flatmap(lambda row: st.sampled_from([None, *_spellings(row)]).map(
+        lambda how: (naive_csv_line(row)[:-1] if how is None else _respelled(row, *how), row)))
+    off_day = st.sampled_from([-DAY_S, -1, DAY_S, 2 * DAY_S]).map(
+        lambda d: naive_csv_line(make_row(ts=first + d))[:-1])
+    foreign = foreign_lines | st.sampled_from(MORE_FOREIGN_LINES) | off_day
+    return good | foreign.map(lambda line: (line, None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_windowed_reads_of_hand_written_partitions_match_naive_oracles(data):
+    # Whatever the window, a query returns the oracle's rows, and every
+    # partition it opens is counted whole: its skipped lines are those
+    # written to it that are no rows, in or out of the window.
+    partitions = data.draw(st.lists(st.tuples(st.sampled_from(["p1", "a,b"]), st.integers(0, 2),
+                                              st.booleans()),
+                                    unique_by=lambda p: p[:2], max_size=5), label="partitions")
+    with tempfile.TemporaryDirectory() as root:
+        by_dir, skipped = {}, []  # skipped: (directory, first second of its day or None, path, count)
+        for pdir, day, headless in partitions:
+            first = DAY0 + day * DAY_S
+            lines = data.draw(st.lists(_partition_lines(first), max_size=10))
+            head = HEADER
+            if headless and lines and lines[0][0] != HEADER[:-1]:
+                head = b""  # a first line other than the header is no row
+                lines[0] = (lines[0][0], None)
+            path = os.path.join(root, pdir, iso_utc(first)[:10] + ".csv")
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as f:
+                f.write(head + b"".join(line + b"\n" for line, _ in lines))
+            by_dir.setdefault(pdir, []).extend(row for _, row in lines if row is not None)
+            skipped.append((pdir, first, path, sum(row is None for _, row in lines)))
+        if data.draw(st.booleans(), label="file named no day"):
+            path = os.path.join(root, "p1", "notes.csv")
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as f:
+                f.write(HEADER + GOOD_LINE + b"\n")
+            by_dir.setdefault("p1", [])
+            skipped.append(("p1", None, path, 1))
+        edges = st.none() | st.builds(lambda d, s: DAY0 + d * DAY_S + s, st.integers(-1, 3),
+                                      second_of_day)
+        for _ in range(4):
+            pdir = data.draw(st.sampled_from([None, *sorted(by_dir)]))
+            start = data.draw(edges)
+            end = start if start is not None and data.draw(st.booleans()) else data.draw(edges)
+            if start is not None and end is not None and start > end:
+                start, end = end, start
+            want = [_exact(r) for r in naive_query(
+                [r for d in sorted(by_dir) if pdir in (None, d) for r in by_dir[d]],
+                start_ts=start, end_ts=end)]
+            # The partitions a window opens: those of the days it overlaps,
+            # and every file whose name is no day.
+            opened = {path: n for d, first, path, n in skipped if pdir in (None, d) and (
+                first is None or (start is None or first + DAY_S > start)
+                and (end is None or first < end))}
+            store = Store(root)
+            assert [_exact(r) for r in store.query(pdir, start, end)] == want
+            assert store.skipped == opened
+            store = Store(root)
+            assert [_exact(r) for day in store.query_days(pdir, start, end) for r in day] == want
+            assert store.skipped == opened
+
+
+def test_windowed_query_builds_only_the_rows_it_returns(store):
+    # A one-hour window of a 96-tick day builds its 32 rows, not the day's
+    # 768 that its one partition holds; a whole-day query builds all 768.
+    rows = [make_row(seq=k + 1, ts=DAY0 + 900 * k, depth=depth, channel=channel)
+            for k in range(96) for depth in (5, 15, 50, 100) for channel in Channel]
+    store.append_rows(rows)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return RawReading(*args)
+
+    for start, end in ((DAY0 + 5 * 3600, DAY0 + 6 * 3600), (DAY0, DAY0 + DAY_S), (None, None)):
+        built.clear()
+        with mock.patch.object(store_module, "RawReading", counted):
+            got = Store(store.root).query("p1", start, end)
+        assert got == naive_query(rows, start_ts=start, end_ts=end)
+        assert len(built) == len(got) == (32 if start == DAY0 + 5 * 3600 else 768)
 
 
 def _parse_back_csv(data: bytes):
